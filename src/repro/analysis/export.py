@@ -8,10 +8,56 @@ the first thing one reaches for when debugging a pointer-analysis client.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, TextIO
+from json.encoder import encode_basestring_ascii as encode_string
+from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, TextIO, Tuple
 
 from repro.analysis.solution import PointsToSolution
 from repro.constraints.model import ConstraintKind, ConstraintSystem
+
+
+class PointeeNames:
+    """Pointee sets rendered as sorted names, once per distinct set object.
+
+    A :class:`PointsToSolution` hands every variable with the same set
+    one shared frozenset, so a renderer going through this helper sorts
+    and name-maps each distinct set once instead of once per variable.
+    Every memo entry holds its set, so no keyed ``id()`` is reused while
+    the helper is alive.
+    """
+
+    def __init__(self, name_of: Callable[[int], str]) -> None:
+        self._name_of = name_of
+        self._memo: Dict[int, Tuple[FrozenSet[int], List[str], str]] = {}
+
+    def _entry(self, pointees: FrozenSet[int]) -> Tuple[FrozenSet[int], List[str], str]:
+        entry = self._memo.get(id(pointees))
+        if entry is None:
+            names = sorted(map(self._name_of, pointees))
+            entry = self._memo[id(pointees)] = (
+                pointees, names, "{" + ", ".join(names) + "}",
+            )
+        return entry
+
+    def names(self, pointees: FrozenSet[int]) -> List[str]:
+        """The sorted pointee names (shared: do not mutate)."""
+        return self._entry(pointees)[1]
+
+    def text(self, pointees: FrozenSet[int]) -> str:
+        """The names as ``{a, b}``, the CLI's text form."""
+        return self._entry(pointees)[2]
+
+
+def solution_text_lines(
+    system: ConstraintSystem,
+    solution: PointsToSolution,
+    include_empty: bool = False,
+) -> Iterator[str]:
+    """``name -> {pointee, ...}`` per variable, the ``repro solve`` text."""
+    text = PointeeNames(system.name_of).text
+    for var in range(system.num_vars):
+        pointees = solution.points_to(var)
+        if pointees or include_empty:
+            yield f"{system.name_of(var)} -> {text(pointees)}"
 
 
 def solution_to_json(
@@ -25,19 +71,40 @@ def solution_to_json(
     Layout::
 
         {"num_vars": 7, "points_to": {"p": ["x", "y"], ...}}
+
+    The text equals ``json.dumps(doc, indent=indent, sort_keys=True)``,
+    but each distinct pointee list is encoded once and spliced in at its
+    nesting depth: with an indent, ``json`` falls back to its pure-Python
+    encoder, which would otherwise re-encode every shared list per
+    variable.
     """
-    points_to: Dict[str, List[str]] = {}
+    names = PointeeNames(system.name_of).names
+    newline, pad, comma = ("", "", ", ") if indent is None else ("\n", " " * indent, ",")
+    nested = newline + 2 * pad
+    encoded: Dict[int, str] = {}  # keyed by list id; `names` holds each list
+    points_to: Dict[str, str] = {}
     for var in range(system.num_vars):
         pointees = solution.points_to(var)
         if pointees or include_empty:
-            points_to[system.name_of(var)] = sorted(
-                system.name_of(loc) for loc in pointees
-            )
-    return json.dumps(
-        {"num_vars": system.num_vars, "points_to": points_to},
-        indent=indent,
-        sort_keys=True,
-    )
+            listing = names(pointees)
+            text = encoded.get(id(listing))
+            if text is None:
+                text = encoded[id(listing)] = json.dumps(
+                    listing, indent=indent
+                ).replace("\n", nested)
+            points_to[system.name_of(var)] = text
+    parts = ["{", newline, pad, f'"num_vars": {system.num_vars}', comma,
+             newline, pad, '"points_to": ']
+    if points_to:
+        separator = "{" + nested
+        for name, text in sorted(points_to.items()):
+            parts += (separator, encode_string(name), ": ", text)
+            separator = comma + nested
+        parts += (newline, pad, "}")
+    else:
+        parts.append("{}")
+    parts += (newline, "}")
+    return "".join(parts)
 
 
 def solution_from_json(text: str, system: ConstraintSystem) -> PointsToSolution:
@@ -105,12 +172,11 @@ def constraint_graph_dot(
             )
 
     if solution is not None:
+        text = PointeeNames(system.name_of).text
         for node in sorted(mentioned):
             pointees = solution.points_to(node)
             if pointees:
-                label = system.name_of(node) + "\\n{" + ", ".join(
-                    sorted(system.name_of(p) for p in pointees)
-                ) + "}"
+                label = system.name_of(node) + "\\n" + text(pointees)
                 lines.append(f'  "{system.name_of(node)}" [label="{label}"];')
 
     lines.append("}")

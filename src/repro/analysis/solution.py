@@ -11,7 +11,7 @@ solution).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.points_to.interface import PointsToSet
@@ -46,19 +46,36 @@ class PointsToSolution:
         self._num_locs = num_locs if num_locs is not None else num_vars
         self._names = tuple(names) if names is not None else None
         self._points_to: Dict[int, FrozenSet[int]] = {}
+        # Converged solutions are heavily duplicated: solvers hand every
+        # variable of a class the same set object.  Freeze and range-check
+        # each distinct non-empty input object once and share the result
+        # (empty inputs are dropped, so they are never memoized).  Every
+        # memo value holds its input, so no keyed id() is reused while
+        # the memo is alive.
+        memo: Dict[int, Tuple[Iterable[int], FrozenSet[int]]] = {}
         for var, locs in points_to.items():
             if not 0 <= var < num_vars:
                 raise ValueError(f"variable id {var} out of range")
-            frozen = frozenset(locs)
-            if frozen:
-                # min/max bound-check the whole set at C speed.
-                if min(frozen) < 0 or max(frozen) >= self._num_locs:
-                    bad = min(frozen) if min(frozen) < 0 else max(frozen)
-                    raise ValueError(
-                        f"pointee id {bad} in pts({var}) outside "
-                        f"[0, {self._num_locs})"
-                    )
-                self._points_to[var] = frozen
+            hit = memo.get(id(locs))
+            if hit is None:
+                frozen = self._checked(var, locs)
+                if not frozen:
+                    continue
+                hit = memo[id(locs)] = (locs, frozen)
+            self._points_to[var] = hit[1]
+
+    def _checked(self, var: int, locs: Iterable[int]) -> FrozenSet[int]:
+        """``locs`` frozen, after bound-checking it (min/max at C speed)."""
+        frozen = frozenset(locs)
+        if frozen:
+            low, high = min(frozen), max(frozen)
+            if low < 0 or high >= self._num_locs:
+                bad = low if low < 0 else high
+                raise ValueError(
+                    f"pointee id {bad} in pts({var}) outside "
+                    f"[0, {self._num_locs})"
+                )
+        return frozen
 
     # ------------------------------------------------------------------
     # Queries
@@ -183,30 +200,29 @@ class PointsToSolution:
         """
         if len(var_to_rep) != self._num_vars:
             raise ValueError("substitution map length != variable count")
-        expanded: Dict[int, FrozenSet[int]]
+        points_to = self._points_to
         if loc_members:
-            # Expand each distinct representative set once, then fan the
-            # result out to every variable in the class.
-            expanded_rep: Dict[int, FrozenSet[int]] = {}
-            for rep, compressed in self._points_to.items():
-                if compressed.isdisjoint(loc_members):
-                    expanded_rep[rep] = compressed
+            # Expand each distinct compressed set object once; every
+            # representative holding it shares the expanded result.
+            memo: Dict[int, FrozenSet[int]] = {}
+            for compressed in points_to.values():
+                if id(compressed) in memo:
                     continue
-                full = set(compressed)
-                for loc in compressed:
-                    members = loc_members.get(loc)
-                    if members is not None:
-                        full.update(members)
-                expanded_rep[rep] = frozenset(full)
-            expanded = {
-                var: expanded_rep.get(var_to_rep[var], frozenset())
-                for var in range(self._num_vars)
-            }
-        else:
-            expanded = {
-                var: self._points_to.get(var_to_rep[var], frozenset())
-                for var in range(self._num_vars)
-            }
+                full = compressed
+                if not compressed.isdisjoint(loc_members):
+                    grown = set(compressed)
+                    for loc in compressed:
+                        members = loc_members.get(loc)
+                        if members is not None:
+                            grown.update(members)
+                    full = frozenset(grown)
+                memo[id(compressed)] = full
+            points_to = {rep: memo[id(pts)] for rep, pts in points_to.items()}
+        empty: FrozenSet[int] = frozenset()
+        expanded = {
+            var: points_to.get(var_to_rep[var], empty)
+            for var in range(self._num_vars)
+        }
         backing: Optional[Dict[int, "PointsToSet"]] = None
         if self._backing is not None:
             # Native sets keep compressed contents, which stays sound for

@@ -27,6 +27,12 @@ import sys
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.callgraph import build_call_graph
+from repro.analysis.export import (
+    PointeeNames,
+    constraint_graph_dot,
+    solution_text_lines,
+    solution_to_json,
+)
 from repro.constraints.parser import (
     parse_repro_header,
     read_constraints,
@@ -108,18 +114,12 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     solution = solver.solve()
 
     if args.json:
-        from repro.analysis.export import solution_to_json
-
         print(solution_to_json(system, solution, include_empty=args.all))
         return 0
 
     shown = 0
-    for var in range(system.num_vars):
-        pointees = solution.points_to(var)
-        if not pointees and not args.all:
-            continue
-        names = ", ".join(sorted(system.name_of(p) for p in pointees))
-        print(f"{system.name_of(var)} -> {{{names}}}")
+    for line in solution_text_lines(system, solution, include_empty=args.all):
+        print(line)
         shown += 1
     if args.stats:
         print()
@@ -152,6 +152,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     )
     solution = solver.solve()
 
+    text = PointeeNames(system.name_of).text
     if args.query:
         for name in args.query:
             try:
@@ -159,17 +160,13 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             except KeyError:
                 print(f"{name}: unknown variable", file=sys.stderr)
                 continue
-            names = ", ".join(
-                sorted(system.name_of(p) for p in solution.points_to(node))
-            )
-            print(f"{name} -> {{{names}}}")
+            print(f"{name} -> {text(solution.points_to(node))}")
     else:
         for name in sorted(program.variables):
             node = program.variables[name]
             pointees = solution.points_to(node)
             if pointees:
-                names = ", ".join(sorted(system.name_of(p) for p in pointees))
-                print(f"{name} -> {{{names}}}")
+                print(f"{name} -> {text(pointees)}")
 
     if args.callgraph:
         graph = build_call_graph(system, solution)
@@ -427,8 +424,6 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def _cmd_dot(args: argparse.Namespace) -> int:
-    from repro.analysis.export import constraint_graph_dot
-
     system = _read_system(args.file)
     solution = None
     if args.solve:

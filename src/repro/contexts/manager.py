@@ -87,7 +87,7 @@ from __future__ import annotations
 import time
 import weakref
 from dataclasses import dataclass, field, fields
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.analysis.solution import PointsToSolution
 from repro.constraints.model import (
@@ -165,22 +165,53 @@ class _Site:
     callees: Tuple[int, ...] = ()  # specialized indirect sites
 
 
-@dataclass
 class ContextExpansion:
-    """The result of :func:`expand_contexts` for one ``(system, k)``."""
+    """The result of :func:`expand_contexts` for one ``(system, k)``.
 
-    original: ConstraintSystem
-    expanded: ConstraintSystem
-    k: int
-    stats: CtxStats
-    #: base variable id -> ids of its non-ε clones (sorted by context).
-    clone_groups: Dict[int, Tuple[int, ...]]
-    #: function node -> its call-string contexts (always includes ε).
-    contexts_of: Dict[int, Tuple[CallString, ...]]
+    The expansion refers to its input system weakly: the module cache
+    holds expansions strongly, and a strong back-reference would keep
+    every cached system (and its expansion) alive after its caller is
+    done with it.  Callers keep the system for as long as they use
+    :attr:`original` (every caller in the package does: a solver holds
+    it as ``original_system``); :meth:`project` needs only the base
+    names, which the expansion keeps.
+    """
+
+    def __init__(
+        self,
+        original: ConstraintSystem,
+        expanded: ConstraintSystem,
+        k: int,
+        stats: CtxStats,
+        clone_groups: Dict[int, Tuple[int, ...]],
+        contexts_of: Dict[int, Tuple[CallString, ...]],
+    ) -> None:
+        self._original = weakref.ref(original)
+        #: None for an identity expansion, whose expanded system *is*
+        #: the original (held weakly like it).
+        self._expanded = None if expanded is original else expanded
+        self._base_names = original.names
+        self.k = k
+        self.stats = stats
+        #: base variable id -> ids of its non-ε clones (sorted by context).
+        self.clone_groups = clone_groups
+        #: function node -> its call-string contexts (always includes ε).
+        self.contexts_of = contexts_of
+
+    @property
+    def original(self) -> ConstraintSystem:
+        system = self._original()
+        if system is None:
+            raise ReferenceError("the expansion's input system is gone")
+        return system
+
+    @property
+    def expanded(self) -> ConstraintSystem:
+        return self.original if self._expanded is None else self._expanded
 
     def is_identity(self) -> bool:
         """True when expansion changed nothing (k = 0, or nothing to clone)."""
-        return self.expanded is self.original
+        return self._expanded is None
 
     def project(self, solution: PointsToSolution) -> PointsToSolution:
         """Collapse a clone-space solution back onto the base variables.
@@ -192,35 +223,50 @@ class ContextExpansion:
         """
         if self.is_identity():
             return solution
-        base_vars = self.original.num_vars
-        if solution.num_vars != self.expanded.num_vars:
+        base_vars = len(self._base_names)
+        if solution.num_vars != self._expanded.num_vars:
             raise ValueError(
                 f"solution has {solution.num_vars} vars, expected "
-                f"{self.expanded.num_vars} (the expanded system's)"
+                f"{self._expanded.num_vars} (the expanded system's)"
             )
-        points_to: Dict[int, frozenset] = {}
+        # Union each distinct tuple of instance sets once, so variables
+        # whose instances share set objects share the projection too.
+        # ``solution`` holds every keyed set alive.
+        unions: Dict[Tuple[int, ...], FrozenSet[int]] = {}
+        points_to: Dict[int, FrozenSet[int]] = {}
         for var in range(base_vars):
             pts = solution.points_to(var)
-            for clone in self.clone_groups.get(var, ()):
-                clone_pts = solution.points_to(clone)
-                if clone_pts:
-                    pts = pts | clone_pts
+            clones = self.clone_groups.get(var)
+            if clones:
+                parts = [pts, *map(solution.points_to, clones)]
+                parts = [part for part in parts if part]
+                if len(parts) == 1:
+                    pts = parts[0]
+                elif parts:
+                    key = tuple(map(id, parts))
+                    union = unions.get(key)
+                    if union is None:
+                        union = unions[key] = parts[0].union(*parts[1:])
+                    pts = union
             if pts:
                 points_to[var] = pts
         return PointsToSolution(
-            points_to,
-            base_vars,
-            names=self.original.names,
-            num_locs=base_vars,
+            points_to, base_vars, names=self._base_names, num_locs=base_vars
         )
 
 
 # Cache of recent expansions.  ConstraintSystem defines __eq__ without
 # __hash__ (unhashable), so the cache is an identity-keyed weakref list:
 # the 17-solver agreement/verify sweeps re-expand the same system object
-# per algorithm, and this makes every run after the first free.
+# per algorithm, and this makes every run after the first free.  An
+# entry dies with its system: expansions hold their system weakly, and
+# the weakref's callback evicts the entry.
 _CACHE: List[Tuple["weakref.ref", int, ContextExpansion]] = []
 _CACHE_LIMIT = 8
+
+
+def _evict(ref: "weakref.ref") -> None:
+    _CACHE[:] = [entry for entry in _CACHE if entry[0] is not ref]
 
 
 def expand_contexts(
@@ -237,21 +283,12 @@ def expand_contexts(
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
     if bootstrap is None:
-        alive: List[Tuple["weakref.ref", int, ContextExpansion]] = []
-        hit: Optional[ContextExpansion] = None
-        for ref, cached_k, expansion in _CACHE:
-            target = ref()
-            if target is None:
-                continue
-            alive.append((ref, cached_k, expansion))
-            if target is system and cached_k == k:
-                hit = expansion
-        _CACHE[:] = alive[-_CACHE_LIMIT:]
-        if hit is not None:
-            return hit
+        for ref, cached_k, cached in list(_CACHE):
+            if ref() is system and cached_k == k:
+                return cached
     expansion = _expand(system, k, bootstrap)
     if bootstrap is None:
-        _CACHE.append((weakref.ref(system), k, expansion))
+        _CACHE.append((weakref.ref(system, _evict), k, expansion))
         del _CACHE[:-_CACHE_LIMIT]
     return expansion
 

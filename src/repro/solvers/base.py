@@ -707,24 +707,31 @@ class GraphSolver(BaseSolver):
     def _export_solution(self) -> PointsToSolution:
         graph = self.graph
         num_vars = self.system.num_vars
-        if self._fused:
-            # Canonical bignums: decode each distinct set value once and
-            # share the (read-only) location list across the variables
-            # holding it — converged solutions are heavily duplicated.
-            decoded: Dict[int, List[int]] = {}
-            mapping = {}
-            for var in range(num_vars):
-                bits = graph.pts_of(var).bits
-                locs = decoded.get(id(bits))
-                if locs is None:
-                    locs = decoded[id(bits)] = list(_iter_bits(bits))
-                mapping[var] = locs
-        else:
-            mapping = {var: list(graph.pts_of(var)) for var in range(num_vars)}
+        fused = self._fused
+        # Converged solutions are heavily duplicated: merged variables
+        # share one native set, and the fused kernel's canonical bignums
+        # make equal values one int.  Decode each distinct non-empty
+        # native object once and share the (read-only) location list
+        # across the variables holding it, so the solution keeps the
+        # sharing.  The graph holds every keyed object alive, so no id()
+        # is reused.
+        decoded: Dict[int, List[int]] = {}
+        mapping: Dict[int, List[int]] = {}
         # Hand the solver's native sets to the solution so alias/checker
         # queries run on the representation's own AND (merged variables
         # share one set object, which is fine for read-only queries).
-        backing = {var: graph.pts_of(var) for var in range(num_vars)}
+        backing = {}
+        for var in range(num_vars):
+            native = graph.pts_of(var)
+            backing[var] = native
+            key = native.bits if fused else native
+            locs = decoded.get(id(key))
+            if locs is None:
+                locs = list(native)
+                if not locs:
+                    continue
+                decoded[id(key)] = locs
+            mapping[var] = locs
         return PointsToSolution(
             mapping, num_vars, self.system.names,
             num_locs=num_vars, backing=backing,

@@ -7,6 +7,9 @@ binding precision, monotone precision, the irregular-site fallback, the
 expansion cache and the projection contract.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from conftest import random_system
@@ -262,6 +265,43 @@ class TestCacheAndProjection:
         first = expand_contexts(system, 1)
         assert expand_contexts(system, 1) is first
         assert expand_contexts(system, 2) is not first
+
+    def test_cache_keeps_expansion_of_live_system(self):
+        system, *_ = _pick_system()
+        cached = weakref.ref(expand_contexts(system, 1))
+        gc.collect()
+        assert cached() is not None
+        assert expand_contexts(system, 1) is cached()
+
+    def test_cache_entry_dies_with_its_system(self):
+        system, *_ = _pick_system()
+        expansion = weakref.ref(expand_contexts(system, 1))
+        system_ref = weakref.ref(system)
+        del system
+        gc.collect()
+        assert system_ref() is None
+        assert expansion() is None
+        assert all(ref() is not None for ref, _, _ in _CACHE)
+
+    def test_projection_keeps_sharing(self):
+        """Base variables whose instances hold the same set objects share
+        one projected set."""
+        system, _, _, target, cell = _pick_system()
+        expansion = expand_contexts(system, 1)
+        assert len(expansion.clone_groups) >= 2
+        base_set, clone_set = [target], [cell]
+        mapping = {}
+        for var, clones in expansion.clone_groups.items():
+            mapping[var] = base_set
+            mapping.update(dict.fromkeys(clones, clone_set))
+        projected = expansion.project(
+            PointsToSolution(
+                mapping, expansion.expanded.num_vars, num_locs=system.num_vars
+            )
+        )
+        sets = [projected.points_to(var) for var in expansion.clone_groups]
+        assert sets[0] == {target, cell}
+        assert all(pts is sets[0] for pts in sets)
 
     def test_cache_is_bounded(self):
         systems = [random_system(seed) for seed in range(_CACHE_LIMIT + 4)]
