@@ -109,8 +109,8 @@ def pytest_sessionfinish(session):  # pragma: no cover - hook
         return
     payload = {
         "scale_denominator": SCALE_DENOMINATOR,
-        # Runner shape: scaling assertions are only meaningful with real
-        # parallelism, so the budget gate needs to know what ran them.
+        # Runner shape: the bench JSON states the core count its numbers
+        # were measured on, next to the scale.
         "cpu_count": os.cpu_count() or 1,
         "records": sorted(
             _bench_records,

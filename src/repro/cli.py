@@ -5,7 +5,7 @@ solutions and statistics out.
 
 ::
 
-    python -m repro solve FILE [--algorithm lcd+hcd] [--pts bitmap] [--opt hu] [--k-cs 1] [--workers N]
+    python -m repro solve FILE [--algorithm lcd+hcd] [--pts bitmap] [--opt hu] [--k-cs 1]
     python -m repro analyze FILE.c [--query main::p ...] [--callgraph]
     python -m repro check FILE.c [--checker null-deref ...] [--format text|sarif|json]
     python -m repro generate BENCHMARK [--scale 128] [--seed 1] [-o FILE]
@@ -106,10 +106,9 @@ def _resolve_replay_flags(
 def _cmd_solve(args: argparse.Namespace) -> int:
     system, header = _read_system_and_header(args.file)
     _resolve_replay_flags(args, "hu", header, args.file)
-    opt = "ovs" if args.ovs else args.opt
     solver = make_solver(
-        system, args.algorithm, pts=args.pts, workers=args.workers,
-        sanitize=args.sanitize, opt=opt, k_cs=args.k_cs,
+        system, args.algorithm, pts=args.pts, sanitize=args.sanitize,
+        opt=args.opt, k_cs=args.k_cs,
     )
     solution = solver.solve()
 
@@ -299,7 +298,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     ctx_summary = ""
     for algorithm in algorithms:
         solver = make_solver(
-            system, algorithm.strip(), pts=args.pts, workers=args.workers,
+            system, algorithm.strip(), pts=args.pts,
             sanitize=args.sanitize, opt=args.opt, k_cs=args.k_cs,
         )
         solution = solver.solve()
@@ -347,7 +346,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     for algorithm in algorithms:
         for family in families:
             solver = make_solver(
-                system, algorithm, pts=family, workers=args.workers,
+                system, algorithm, pts=family,
                 sanitize=args.sanitize, opt=args.opt, k_cs=args.k_cs,
             )
             solution = solver.solve()
@@ -396,13 +395,13 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     _resolve_replay_flags(args, "none", header, args.file)
     if args.check == "certify":
         predicate = certifier_rejects(
-            args.algorithm, pts=args.pts, workers=args.workers,
+            args.algorithm, pts=args.pts,
             sanitize=args.sanitize, opt=args.opt, k_cs=args.k_cs,
         )
     else:
         predicate = solvers_disagree(
             args.algorithm, args.against, pts_a=args.pts, pts_b=args.pts,
-            workers=args.workers, opt=args.opt, k_cs=args.k_cs,
+            opt=args.opt, k_cs=args.k_cs,
         )
     result = minimize_system(system, predicate)
     config = {"check": args.check, "algorithm": args.algorithm}
@@ -512,15 +511,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="solve a constraint file")
     p_solve.add_argument("file")
     common(p_solve)
-    p_solve.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes for parallel solvers (wave-par); "
-        "results are identical at any count",
-    )
-    p_solve.add_argument(
-        "--ovs", action="store_true",
-        help="deprecated alias for --opt ovs (overrides --opt)",
-    )
     p_solve.add_argument(
         "--sanitize", action="store_true",
         help="install solver invariant checks (collapse consistency, "
@@ -640,10 +630,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_k_cs(p_compare)
     p_compare.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes for parallel solvers (wave-par)",
-    )
-    p_compare.add_argument(
         "--sanitize", action="store_true",
         help="install solver invariant checks on every run",
     )
@@ -677,10 +663,6 @@ def build_parser() -> argparse.ArgumentParser:
         "context-expanded constraints — see docs/internals.md)",
     )
     add_k_cs(p_verify)
-    p_verify.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes for parallel solvers (wave-par)",
-    )
     p_verify.add_argument(
         "--sanitize", action="store_true",
         help="also install solver invariant checks while solving",
@@ -723,10 +705,6 @@ def build_parser() -> argparse.ArgumentParser:
         "predicate (default none: repros replay the raw failure)",
     )
     add_k_cs(p_reduce)
-    p_reduce.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes for parallel solvers (wave-par)",
-    )
     p_reduce.add_argument(
         "--sanitize", action="store_true",
         help="treat sanitizer InvariantViolation as failure too "

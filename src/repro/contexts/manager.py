@@ -257,7 +257,7 @@ class ContextExpansion:
 
 # Cache of recent expansions.  ConstraintSystem defines __eq__ without
 # __hash__ (unhashable), so the cache is an identity-keyed weakref list:
-# the 17-solver agreement/verify sweeps re-expand the same system object
+# the 15-solver agreement/verify sweeps re-expand the same system object
 # per algorithm, and this makes every run after the first free.  An
 # entry dies with its system: expansions hold their system weakly, and
 # the weakref's callback evicts the entry.
@@ -267,6 +267,14 @@ _CACHE_LIMIT = 8
 
 def _evict(ref: "weakref.ref") -> None:
     _CACHE[:] = [entry for entry in _CACHE if entry[0] is not ref]
+
+
+def cached_expansion(system: ConstraintSystem, k: int) -> Optional[ContextExpansion]:
+    """The cached k-CFA expansion of this ``system`` object, or ``None``."""
+    for ref, cached_k, cached in list(_CACHE):
+        if ref() is system and cached_k == k:
+            return cached
+    return None
 
 
 def expand_contexts(
@@ -283,9 +291,9 @@ def expand_contexts(
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
     if bootstrap is None:
-        for ref, cached_k, cached in list(_CACHE):
-            if ref() is system and cached_k == k:
-                return cached
+        cached = cached_expansion(system, k)
+        if cached is not None:
+            return cached
     expansion = _expand(system, k, bootstrap)
     if bootstrap is None:
         _CACHE.append((weakref.ref(system, _evict), k, expansion))

@@ -22,20 +22,13 @@ trigger condition of Lazy Cycle Detection — are cheap.
 
 from __future__ import annotations
 
-from array import array
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 #: Number of bits covered by one element.  GCC uses 2 words x 64 bits = 128
 #: on 64-bit hosts; we follow suit.
 BITS_PER_BLOCK = 128
 
 _BLOCK_MASK = (1 << BITS_PER_BLOCK) - 1
-
-#: Machine words per element in the flat wire encoding (see
-#: :meth:`SparseBitmap.encode_into`).
-WORDS_PER_BLOCK = BITS_PER_BLOCK // 64
-
-_WORD_MASK = (1 << 64) - 1
 
 
 class SparseBitmap:
@@ -211,87 +204,6 @@ class SparseBitmap:
                 low = word & -word
                 yield base + low.bit_length() - 1
                 word ^= low
-
-    # ------------------------------------------------------------------
-    # Flat wire encoding
-    # ------------------------------------------------------------------
-    #
-    # The parallel wave solver ships points-to sets between processes as
-    # flat ``array("Q")`` buffers: pickling an array of machine words is a
-    # single memcpy, whereas pickling the block dict re-serializes every
-    # arbitrary-precision int.  One record is::
-    #
-    #     [n_blocks, (block_index, word_0, ..., word_{WORDS_PER_BLOCK-1})*]
-    #
-    # with each 128-bit block split little-endian into WORDS_PER_BLOCK
-    # 64-bit words.  Records are concatenated in one buffer and addressed
-    # by their start offset, so a level's worth of deltas shares a single
-    # allocation.
-
-    def encode_into(self, out: "array[int]") -> int:
-        """Append this bitmap's record to ``out``; return its start offset."""
-        offset = len(out)
-        blocks = self._blocks
-        out.append(len(blocks))
-        for block_index in sorted(blocks):
-            word = blocks[block_index]
-            out.append(block_index)
-            for _ in range(WORDS_PER_BLOCK):
-                out.append(word & _WORD_MASK)
-                word >>= 64
-        return offset
-
-    @classmethod
-    def decode(
-        cls, buf: Sequence[int], offset: int = 0
-    ) -> Tuple["SparseBitmap", int]:
-        """Rebuild a bitmap from the record at ``buf[offset:]``.
-
-        Returns ``(bitmap, end_offset)`` so concatenated records can be
-        walked in sequence.
-        """
-        bitmap = cls()
-        blocks = bitmap._blocks
-        count = 0
-        n_blocks = buf[offset]
-        i = offset + 1
-        for _ in range(n_blocks):
-            block_index = buf[i]
-            i += 1
-            word = 0
-            for shift in range(WORDS_PER_BLOCK):
-                word |= buf[i] << (64 * shift)
-                i += 1
-            if word:
-                blocks[block_index] = word
-                count += _popcount(word)
-        bitmap._count = count
-        return bitmap, i
-
-    def ior_encoded(self, buf: Sequence[int], offset: int) -> bool:
-        """Union the record at ``buf[offset:]`` into self; report change.
-
-        The streaming counterpart of :meth:`ior_and_test` — the record is
-        merged block by block without materializing a second bitmap.
-        """
-        blocks = self._blocks
-        changed = False
-        n_blocks = buf[offset]
-        i = offset + 1
-        for _ in range(n_blocks):
-            block_index = buf[i]
-            i += 1
-            other_word = 0
-            for shift in range(WORDS_PER_BLOCK):
-                other_word |= buf[i] << (64 * shift)
-                i += 1
-            word = blocks.get(block_index, 0)
-            merged = word | other_word
-            if merged != word:
-                blocks[block_index] = merged
-                self._count += _popcount(merged) - _popcount(word)
-                changed = True
-        return changed
 
     # ------------------------------------------------------------------
     # Container protocol

@@ -13,12 +13,17 @@ through three machine-independent counters, all tracked here:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.analysis.solution import PointsToSolution
 from repro.constraints.model import ConstraintSystem
-from repro.contexts.manager import ContextExpansion, CtxStats, expand_contexts
+from repro.contexts.manager import (
+    ContextExpansion,
+    CtxStats,
+    cached_expansion,
+    expand_contexts,
+)
 from repro.datastructs.intern_table import InternStats
 from repro.datastructs.intset import iter_bits as _iter_bits
 from repro.datastructs.sparse_bitmap import SparseBitmap
@@ -58,35 +63,6 @@ class OptStats:
 
 
 @dataclass
-class ParallelStats:
-    """Extra counters kept by the parallel wave solver (``wave-par``).
-
-    ``worker_seconds`` is wall-time summed over worker tasks; comparing
-    it against ``solve_seconds`` shows how much of the solve actually ran
-    inside the pool versus in the coordinating process.
-    """
-
-    workers: int = 1
-    waves: int = 0
-    levels: int = 0
-    tasks_dispatched: int = 0
-    tasks_inline: int = 0
-    deltas_merged: int = 0
-    worker_seconds: float = 0.0
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "workers": self.workers,
-            "waves": self.waves,
-            "levels": self.levels,
-            "tasks_dispatched": self.tasks_dispatched,
-            "tasks_inline": self.tasks_inline,
-            "deltas_merged": self.deltas_merged,
-            "worker_seconds": self.worker_seconds,
-        }
-
-
-@dataclass
 class SolverStats:
     """Counters and timings for one solver run."""
 
@@ -102,8 +78,6 @@ class SolverStats:
     solve_seconds: float = 0.0
     pts_memory_bytes: int = 0
     graph_memory_bytes: int = 0
-    #: Filled in by solvers that fan work out across a pool.
-    parallel: Optional[ParallelStats] = None
     #: Filled in by runs using the hash-consed "shared" points-to family.
     intern: Optional[InternStats] = None
     #: Filled in by runs with the invariant sanitizer installed.
@@ -132,9 +106,6 @@ class SolverStats:
             "pts_memory_bytes": self.pts_memory_bytes,
             "graph_memory_bytes": self.graph_memory_bytes,
         }
-        if self.parallel is not None:
-            for key, value in self.parallel.as_dict().items():
-                data[f"parallel_{key}"] = value
         if self.intern is not None:
             for key, value in self.intern.as_dict().items():
                 data[f"intern_{key}"] = value
@@ -178,10 +149,18 @@ class BaseSolver:
             # Context expansion runs before *everything* else in the
             # offline pipeline: HVN/HU and HCD's offline pass analyze the
             # cloned constraint system the solver will actually solve.
-            context = expand_contexts(system, self.k_cs)
+            context = cached_expansion(system, self.k_cs)
+            if context is None:
+                context = expand_contexts(system, self.k_cs)
+                self.stats.ctx = context.stats
+            else:
+                # A cache hit did no expansion work: report the sizes but
+                # not the first run's time, and leave the cached stats be.
+                self.stats.ctx = replace(
+                    context.stats, bootstrap_seconds=0.0, offline_seconds=0.0
+                )
             self.context = context
             system = context.expanded
-            self.stats.ctx = context.stats
         if opt != "none":
             # The offline pipeline stage runs before *everything* —
             # including HCD's offline pass, which should analyze the
@@ -628,6 +607,19 @@ class GraphSolver(BaseSolver):
                 if graph.pts_of(succ).ior_and_test(pts):
                     push(succ)
         prev = graph.prev_pts[node]
+        if self.pts_kind == "bitmap":
+            # Bitmap sets diff block by block: one masked word operation
+            # per element instead of one membership test per pointee.
+            delta = pts.bits.copy()
+            delta.difference_update(prev)
+            if not delta:
+                return
+            prev.ior(delta)
+            for succ in list(graph.successors(node)):
+                self.stats.propagations += 1
+                if graph.pts_of(succ).bits.ior_and_test(delta):
+                    push(succ)
+            return
         delta = [loc for loc in pts if loc not in prev]
         if not delta:
             return

@@ -16,6 +16,10 @@ repeat
 until nothing changed
 ```
 
+The wave pass is :meth:`GraphSolver.propagate` in difference mode,
+called on each representative in topological order; this module adds
+only the collapse-and-order sweep and the batch resolution phase.
+
 Included here because it is built directly on this paper's foundations
 (its evaluation uses LCD/HCD as baselines) and slots into the same
 harness — see ``benchmarks/bench_16_ablation_aggressiveness.py`` for
@@ -51,14 +55,15 @@ class WaveSolver(GraphSolver):
             self.stats.iterations += 1
             changed = False
 
-            order = self._sweep_and_collapse()
-            if self._wave(order):
-                changed = True
+            # The wave: one difference-propagation pass in topological
+            # order, each node through the shared propagate step.
+            flag = _ChangeFlag()
+            for node in self._sweep_and_collapse():
+                self.propagate(node, flag)
 
             # Batch constraint resolution: every representative with
             # complex constraints (or pending cross-resolution jobs)
             # processes its not-yet-seen pointees.
-            flag = _ChangeFlag()
             for node in list(graph.rep_nodes()):
                 node = graph.find(node)
                 if self.hcd_enabled:
@@ -96,85 +101,6 @@ class WaveSolver(GraphSolver):
             else:
                 order.append(component[0])
         return order
-
-    def _wave(self, order: List[int]) -> bool:
-        """One difference-propagation pass in topological order."""
-        if self._fused:
-            return self._wave_fused(order)
-        graph = self.graph
-        changed = False
-        for node in order:
-            node = graph.find(node)
-            if self.sanitizer is not None:
-                self.sanitizer.check_monotone(node)
-            pts = graph.pts_of(node)
-            # Edges inserted since this node's last wave carry everything.
-            fresh_edges = graph.fresh_edges[node]
-            if fresh_edges:
-                graph.fresh_edges[node] = []
-                offered = set()
-                for raw in fresh_edges:
-                    succ = graph.find(raw)
-                    if succ == node or succ in offered:
-                        continue
-                    offered.add(succ)
-                    self.stats.propagations += 1
-                    if graph.pts_of(succ).ior_and_test(pts):
-                        changed = True
-            prev = graph.prev_pts[node]
-            delta = [loc for loc in pts if loc not in prev]
-            if not delta:
-                continue
-            for loc in delta:
-                prev.add(loc)
-            delta_set = self.family.make_from(delta)
-            for succ in list(graph.successors(node)):
-                self.stats.propagations += 1
-                if graph.pts_of(succ).ior_and_test(delta_set):
-                    changed = True
-        return changed
-
-    def _wave_fused(self, order: List[int]) -> bool:
-        """The wave on the fused kernel: each node's difference is one
-        ``pts & ~prev`` bignum diff, interned once and offered to every
-        successor as a memoized whole-set union."""
-        graph = self.graph
-        uf_find = graph.uf.find
-        pts_list = graph.pts
-        stats = self.stats
-        intern = self.family.table.intern
-        changed = False
-        for node in order:
-            node = uf_find(node)
-            if self.sanitizer is not None:
-                self.sanitizer.check_monotone(node)
-            pts = pts_list[node]
-            fresh_edges = graph.fresh_edges[node]
-            if fresh_edges:
-                graph.fresh_edges[node] = []
-                offered = set()
-                for raw in fresh_edges:
-                    succ = uf_find(raw)
-                    if succ == node or succ in offered:
-                        continue
-                    offered.add(succ)
-                    stats.propagations += 1
-                    if pts_list[succ].ior_and_test(pts):
-                        changed = True
-            prev = graph.prev_pts[node]
-            delta_bits = pts.bits & ~prev.bits
-            if not delta_bits:
-                continue
-            prev.bits |= delta_bits
-            delta_canon, delta_id = intern(delta_bits)
-            for raw in list(graph.succ[node]):
-                succ = uf_find(raw)
-                if succ == node:
-                    continue
-                stats.propagations += 1
-                if pts_list[succ].ior_bits_and_test(delta_canon, delta_id):
-                    changed = True
-        return changed
 
 
 class _ChangeFlag:

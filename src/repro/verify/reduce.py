@@ -181,7 +181,6 @@ def minimize_system(
 def certifier_rejects(
     algorithm: str = "lcd+hcd",
     pts: str = "bitmap",
-    workers: int = 1,
     sanitize: bool = False,
     opt: str = "none",
     k_cs: int = 0,
@@ -200,8 +199,8 @@ def certifier_rejects(
 
     def predicate(system: ConstraintSystem) -> bool:
         solver = make_solver(
-            system, algorithm, pts=pts, workers=workers, sanitize=sanitize,
-            opt=opt, k_cs=k_cs,
+            system, algorithm, pts=pts, sanitize=sanitize, opt=opt,
+            k_cs=k_cs,
         )
         try:
             solution = solver.solve()
@@ -221,7 +220,6 @@ def solvers_disagree(
     algorithm_b: str,
     pts_a: str = "bitmap",
     pts_b: str = "bitmap",
-    workers: int = 1,
     opt: str = "none",
     k_cs: int = 0,
 ) -> Predicate:
@@ -233,14 +231,8 @@ def solvers_disagree(
     from repro.solvers.registry import solve
 
     def predicate(system: ConstraintSystem) -> bool:
-        first = solve(
-            system, algorithm_a, pts=pts_a, workers=workers, opt=opt,
-            k_cs=k_cs,
-        )
-        second = solve(
-            system, algorithm_b, pts=pts_b, workers=workers, opt=opt,
-            k_cs=k_cs,
-        )
+        first = solve(system, algorithm_a, pts=pts_a, opt=opt, k_cs=k_cs)
+        second = solve(system, algorithm_b, pts=pts_b, opt=opt, k_cs=k_cs)
         return first != second
 
     return predicate

@@ -55,7 +55,9 @@ class TestSolve:
         assert "p -> {x}" in out
 
     def test_with_ovs(self, constraint_file, capsys):
-        code, out, _ = run_cli(["solve", constraint_file, "--ovs"], capsys)
+        code, out, _ = run_cli(
+            ["solve", constraint_file, "--opt", "ovs"], capsys
+        )
         assert code == 0
         assert "p -> {x}" in out
 
@@ -115,16 +117,6 @@ class TestSolve:
         assert "opt_stage: hu" in out
         assert "opt_vars_merged" in out
         assert "[hu:" in out  # the human-readable offline summary line
-
-    def test_parallel_workers(self, constraint_file, capsys):
-        code, out, _ = run_cli(
-            ["solve", constraint_file, "--algorithm", "wave-par",
-             "--workers", "2", "--stats"],
-            capsys,
-        )
-        assert code == 0
-        assert "p -> {x}" in out
-        assert "parallel_workers: 2" in out
 
 
 class TestAnalyze:

@@ -303,6 +303,29 @@ class TestCacheAndProjection:
         assert sets[0] == {target, cell}
         assert all(pts is sets[0] for pts in sets)
 
+    def test_cache_hit_charges_no_expansion_time(self):
+        """A second solver on the same system reuses the cached expansion:
+        it reports the same sizes but none of the first run's time, and
+        the first run's stats stay as they were."""
+        system, *_ = _pick_system()
+        first = make_solver(system, "lcd+hcd", k_cs=1)
+        first_stats = first.stats.ctx
+        recorded = first_stats.as_dict()
+        assert recorded["offline_seconds"] > 0.0
+        second = make_solver(system, "lcd+hcd", k_cs=1)
+        assert second.context is first.context
+        hit = second.stats.ctx
+        assert hit is not first_stats
+        assert hit.offline_seconds == 0.0
+        assert hit.bootstrap_seconds == 0.0
+        sizes = {
+            key: value for key, value in recorded.items()
+            if not key.endswith("_seconds")
+        }
+        assert {key: hit.as_dict()[key] for key in sizes} == sizes
+        assert first.stats.ctx is first_stats
+        assert first_stats.as_dict() == recorded
+
     def test_cache_is_bounded(self):
         systems = [random_system(seed) for seed in range(_CACHE_LIMIT + 4)]
         for system in systems:

@@ -38,6 +38,31 @@ class TestFixedSystems:
     def test_all_representations(self, simple_system, algorithm, pts):
         assert solve(simple_system, algorithm, pts=pts) == solve(simple_system, "naive")
 
+    def test_scc_heavy_system(self):
+        """Nested copy cycles through loads/stores: the collapse-heavy
+        case for the wave solver's sweep-then-propagate rounds."""
+        from repro.constraints.builder import ConstraintBuilder
+
+        b = ConstraintBuilder()
+        vs = [b.var(f"v{i}") for i in range(30)]
+        objs = [b.var(f"o{i}") for i in range(6)]
+        for i, obj in enumerate(objs):
+            b.address_of(vs[i * 5], obj)
+        for ring in range(5):  # five 6-variable copy rings
+            members = vs[ring * 6 : ring * 6 + 6]
+            for src, dst in zip(members, members[1:] + members[:1]):
+                b.assign(dst, src)
+        for i in range(0, 28, 4):  # cross-ring indirection
+            b.store(vs[i], vs[i + 2])
+            b.load(vs[i + 1], vs[i])
+        system = b.build()
+        reference = solve(system, "naive")
+        for algorithm in ("wave", "wave+hcd"):
+            for pts in FAMILY_KINDS:
+                assert solve(system, algorithm, pts=pts) == reference, (
+                    algorithm, pts,
+                )
+
 
 class TestRandomizedDifferential:
     @given(st.integers(0, 10_000))
@@ -106,10 +131,6 @@ class TestSharedFamily:
         reference = solve(system, "naive", pts="bitmap")
         for algorithm in ("lcd", "hcd", "lcd+hcd", "wave"):
             assert solve(system, algorithm, pts="shared") == reference, algorithm
-        for workers in (1, 2):
-            assert (
-                solve(system, "wave-par", pts="shared", workers=workers) == reference
-            ), workers
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -159,10 +180,6 @@ class TestIntFamily:
         reference = solve(system, "naive", pts="bitmap")
         for algorithm in ("lcd", "hcd", "lcd+hcd", "pkh", "pkh03", "wave"):
             assert solve(system, algorithm, pts="int") == reference, algorithm
-        for workers in (1, 2):
-            assert (
-                solve(system, "wave-par", pts="int", workers=workers) == reference
-            ), workers
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -176,17 +193,20 @@ class TestIntFamily:
     @given(st.integers(0, 10_000))
     @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_difference_propagation_agrees(self, seed):
-        """The fused kernel has a distinct diff-mode path (word-parallel
-        prev-set deltas); exercise it across its consumers."""
+        """Difference mode computes prev-set deltas per family: one
+        bignum diff (``int``), a block-level bitmap diff (``bitmap``) or
+        the element path (``shared``); exercise each across its
+        consumers."""
         from repro.solvers.registry import _BASE_SOLVERS
 
         system = random_system(seed)
         reference = solve(system, "naive")
-        for algorithm in ("naive", "pkh", "hcd"):
-            solver = _BASE_SOLVERS[algorithm](
-                system, pts="int", difference_propagation=True
-            )
-            assert solver.solve() == reference, algorithm
+        for pts in ("bitmap", "shared", "int"):
+            for algorithm in ("naive", "pkh", "hcd"):
+                solver = _BASE_SOLVERS[algorithm](
+                    system, pts=pts, difference_propagation=True
+                )
+                assert solver.solve() == reference, (algorithm, pts)
 
     def test_int_stats_populated(self):
         from repro.solvers.registry import make_solver
@@ -253,68 +273,19 @@ class TestMetamorphic:
 
 
 class TestParallelWave:
-    """wave-par must be bit-identical to wave/naive at every worker count."""
-
-    WORKER_COUNTS = [1, 2, 4]
-
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_fixture_systems(self, simple_system, cycle_system, workers):
-        for system in (simple_system, cycle_system):
-            reference = solve(system, "naive")
-            assert solve(system, "wave") == reference
-            assert solve(system, "wave-par", workers=workers) == reference
+    """The parallel wave solver is gone; its one real advantage, the
+    block-level bitmap difference, now lives in the shared propagate
+    step that ``wave`` runs. Its workload checks stay, held to ``wave``."""
 
     @pytest.mark.parametrize("name", ["emacs", "wine", "linux"])
     def test_workloads_bit_identical(self, name):
         system = generate_workload(name, scale=1 / 512, seed=2)
         reference = solve(system, "naive")
-        assert solve(system, "wave") == reference
-        for workers in self.WORKER_COUNTS:
-            assert solve(system, "wave-par", workers=workers) == reference, workers
-
-    def test_scc_heavy_system(self):
-        """Nested copy cycles through loads/stores: the collapse-heavy case."""
-        from repro.constraints.builder import ConstraintBuilder
-
-        b = ConstraintBuilder()
-        vs = [b.var(f"v{i}") for i in range(30)]
-        objs = [b.var(f"o{i}") for i in range(6)]
-        for i, obj in enumerate(objs):
-            b.address_of(vs[i * 5], obj)
-        for ring in range(5):  # five 6-variable copy rings
-            members = vs[ring * 6 : ring * 6 + 6]
-            for src, dst in zip(members, members[1:] + members[:1]):
-                b.assign(dst, src)
-        for i in range(0, 28, 4):  # cross-ring indirection
-            b.store(vs[i], vs[i + 2])
-            b.load(vs[i + 1], vs[i])
-        system = b.build()
-        reference = solve(system, "naive")
-        assert solve(system, "wave") == reference
-        for workers in self.WORKER_COUNTS:
-            assert solve(system, "wave-par", workers=workers) == reference, workers
-            assert solve(system, "wave-par+hcd", workers=workers) == reference, workers
-
-    @given(st.integers(0, 10_000))
-    @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    def test_random_systems_worker_invariant(self, seed):
-        system = random_system(seed)
-        reference = solve(system, "wave")
-        assert reference == solve(system, "naive")
-        for workers in (2, 4):
-            assert solve(system, "wave-par", workers=workers) == reference, workers
-
-    def test_forced_pool_dispatch_bit_identical(self):
-        """Drive the actual multiprocessing path, not just the inline mode."""
-        from repro.solvers.wave_par import WaveParallelSolver
-
-        system = generate_workload("wine", scale=1 / 512, seed=2)
-        reference = solve(system, "wave")
-        for workers in (2, 4):
-            solver = WaveParallelSolver(system, workers=workers)
-            solver.parallel_threshold = 0  # every level goes to the pool
-            assert solver.solve() == reference, workers
-            assert solver.stats.parallel.tasks_dispatched > 0
+        for algorithm in ("wave", "wave+hcd"):
+            for pts in FAMILY_KINDS:
+                assert solve(system, algorithm, pts=pts, opt="none") == reference, (
+                    algorithm, pts,
+                )
 
 
 class TestWorkloadAgreement:
@@ -353,11 +324,6 @@ class TestOptStages:
                 assert (
                     solve(system, algorithm, opt=stage) == reference
                 ), (name, algorithm, stage)
-            for workers in (1, 2):
-                assert (
-                    solve(system, "wave-par", opt=stage, workers=workers)
-                    == reference
-                ), (name, stage, workers)
 
     @pytest.mark.parametrize("pts", list(FAMILY_KINDS))
     def test_all_families_under_hu(self, simple_system, pts):
@@ -437,10 +403,6 @@ class TestContextSensitivity:
                 assert (
                     solve(system, algorithm, opt=stage, k_cs=1) == reference
                 ), (algorithm, stage)
-        for workers in (1, 2):
-            assert (
-                solve(system, "wave-par", k_cs=1, workers=workers) == reference
-            ), workers
 
     @pytest.mark.parametrize("name", ["emacs", "wine"])
     def test_workloads_monotone_precision(self, name):

@@ -1,7 +1,7 @@
 """Unit and property tests for the GCC-style sparse bitmap."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.datastructs.sparse_bitmap import BITS_PER_BLOCK, SparseBitmap
@@ -243,57 +243,3 @@ class TestProperties:
         assert x not in s
         if not was_in:
             assert set(s) == set(items)
-
-
-class TestFlatEncoding:
-    """The array("Q") wire format used by the parallel wave solver."""
-
-    def test_roundtrip_empty(self):
-        from array import array
-
-        buf = array("Q")
-        offset = SparseBitmap().encode_into(buf)
-        assert offset == 0 and list(buf) == [0]
-        decoded, end = SparseBitmap.decode(buf)
-        assert decoded == SparseBitmap() and end == 1
-
-    @given(element_lists)
-    @settings(max_examples=60, deadline=None)
-    def test_roundtrip(self, items):
-        from array import array
-
-        original = SparseBitmap(items)
-        buf = array("Q")
-        original.encode_into(buf)
-        decoded, end = SparseBitmap.decode(buf)
-        assert decoded == original
-        assert len(decoded) == len(original)
-        assert end == len(buf)
-
-    @given(element_lists, element_lists)
-    @settings(max_examples=60, deadline=None)
-    def test_concatenated_records(self, first, second):
-        from array import array
-
-        a, b = SparseBitmap(first), SparseBitmap(second)
-        buf = array("Q")
-        offset_a = a.encode_into(buf)
-        offset_b = b.encode_into(buf)
-        decoded_a, end_a = SparseBitmap.decode(buf, offset_a)
-        decoded_b, end_b = SparseBitmap.decode(buf, offset_b)
-        assert decoded_a == a and decoded_b == b
-        assert end_a == offset_b and end_b == len(buf)
-
-    @given(element_lists, element_lists)
-    @settings(max_examples=60, deadline=None)
-    def test_ior_encoded_matches_ior_and_test(self, base, extra):
-        from array import array
-
-        target = SparseBitmap(base)
-        mirror = SparseBitmap(base)
-        other = SparseBitmap(extra)
-        buf = array("Q")
-        offset = other.encode_into(buf)
-        assert target.ior_encoded(buf, offset) == mirror.ior_and_test(other)
-        assert target == mirror
-        assert len(target) == len(mirror)

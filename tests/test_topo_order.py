@@ -161,63 +161,3 @@ class TestPKH03Solver:
 
         system = generate_workload("emacs", scale=1 / 256, seed=9)
         assert solve(system, "pkh03+hcd") == solve(system, "naive")
-
-
-class TestTopologicalLevels:
-    """The level schedule driving the parallel wave solver."""
-
-    def _levels(self, nodes, edges):
-        from repro.graph.topo_order import topological_levels
-
-        succ = {n: [] for n in nodes}
-        for src, dst in edges:
-            succ[src].append(dst)
-        return topological_levels(nodes, lambda n: succ[n])
-
-    def test_chain(self):
-        levels = self._levels([0, 1, 2, 3], [(0, 1), (1, 2), (2, 3)])
-        assert levels == [[0], [1], [2], [3]]
-
-    def test_longest_path_layering(self):
-        # 0 -> 2 directly and via 1: node 2 must wait for the longer path.
-        levels = self._levels([0, 1, 2], [(0, 1), (0, 2), (1, 2)])
-        assert levels == [[0], [1], [2]]
-
-    def test_independent_nodes_share_a_level(self):
-        levels = self._levels([0, 1, 2, 3], [(0, 2), (1, 3)])
-        assert levels == [[0, 1], [2, 3]]
-
-    def test_duplicates_and_self_loops_ignored(self):
-        levels = self._levels([0, 1], [(0, 1), (0, 1), (0, 0), (1, 1)])
-        assert levels == [[0], [1]]
-
-    def test_cycle_rejected(self):
-        with pytest.raises(ValueError):
-            self._levels([0, 1], [(0, 1), (1, 0)])
-
-    def test_empty(self):
-        assert self._levels([], []) == []
-
-    @given(st.integers(0, 5_000))
-    @settings(max_examples=40, deadline=None)
-    def test_every_edge_crosses_levels(self, seed):
-        import random as random_module
-
-        from repro.graph.topo_order import topological_levels
-
-        rng = random_module.Random(seed)
-        n = rng.randint(1, 40)
-        # Random DAG: edges only from lower to higher ids.
-        edges = {
-            (rng.randint(0, n - 1), rng.randint(0, n - 1))
-            for _ in range(rng.randint(0, 3 * n))
-        }
-        succ = {i: [d for s, d in edges if s == i and d > i] for i in range(n)}
-        levels = topological_levels(range(n), lambda node: succ[node])
-        level_of = {
-            node: depth for depth, members in enumerate(levels) for node in members
-        }
-        assert sorted(level_of) == list(range(n))
-        for src in range(n):
-            for dst in succ[src]:
-                assert level_of[src] < level_of[dst]

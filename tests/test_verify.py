@@ -67,13 +67,6 @@ class TestCertifierAccepts:
             report = certify(system, solve(system, algorithm))
             assert report.ok, (algorithm, report.summary(system))
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_wave_par_workers(self, workers):
-        system = generate_workload("wine", scale=1 / 512, seed=2)
-        solution = solve(system, "wave-par", workers=workers)
-        report = certify(system, solution)
-        assert report.ok, report.summary(system)
-
     @given(st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -176,7 +169,7 @@ class TestSanitizerCleanRuns:
     def test_workloads_clean(self, name):
         system = generate_workload(name, scale=1 / 512, seed=2)
         reference = solve(system, "naive")
-        for algorithm in ("lcd", "lcd+hcd", "hcd", "wave", "wave-par"):
+        for algorithm in ("lcd", "lcd+hcd", "hcd", "wave"):
             solver = make_solver(system, algorithm, sanitize=True)
             assert solver.solve() == reference, algorithm
 
