@@ -454,7 +454,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             f"({pre.reduction_ratio:.0%} reduction, "
             f"{pre.merged_count()} variables substituted, "
             f"{pre.locations_merged()} locations merged, "
-            f"{pre.passes} passes)"
+            f"{pre.passes} passes"
+            f"{'' if pre.converged else ', stopped at the round bound'})"
         )
     return 0
 

@@ -22,11 +22,12 @@ def format_opt_summary(stats: Mapping[str, object]) -> str:
     if "opt_stage" not in stats:
         return ""
     seconds = float(stats.get("opt_offline_seconds", 0.0))
+    bound = "" if stats.get("opt_converged", True) else " (stopped at the round bound)"
     return (
         f"{stats['opt_stage']}: {stats['opt_vars_merged']} vars merged, "
         f"{stats['opt_locations_merged']} locations merged, "
         f"{stats['opt_constraints_deleted']} constraints deleted, "
-        f"{stats['opt_passes']} passes, {seconds:.3f}s offline"
+        f"{stats['opt_passes']} passes{bound}, {seconds:.3f}s offline"
     )
 
 

@@ -53,8 +53,11 @@ system ~10x smaller, so the fixpoint costs little more than one pass.
 
 Label sets are Python bignums (one bit per label), in the spirit of the
 ``int`` points-to family: unions are single ``|`` expressions and
-interning is one dict probe, which keeps the offline passes cheap enough
-that HU pays for itself even on small inputs.
+interning is one dict probe.  Each round numbers its label bits densely
+over the live system — address-taken locations, then protected
+variables, then ref nodes, then value numbers — and works on flat int
+rows, so a round costs what the live constraints cost rather than what
+the variable id space costs (see :class:`_LabelPass`).
 
 Everything is exposed as a composable pipeline stage: see
 :func:`preprocess_system` and :data:`OPT_STAGES` for the
@@ -66,11 +69,29 @@ reduced system back onto the original variable space.
 from __future__ import annotations
 
 import time
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from operator import itemgetter
+from typing import (
+    AbstractSet,
+    DefaultDict,
+    Dict,
+    FrozenSet,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.analysis.solution import PointsToSolution
-from repro.constraints.model import Constraint, ConstraintKind, ConstraintSystem
+from repro.constraints.model import (
+    Constraint,
+    ConstraintKind,
+    ConstraintSystem,
+    Provenance,
+)
 from repro.graph.scc import tarjan_scc
 
 #: The offline pipeline stages, weakest to strongest.  ``none`` feeds the
@@ -80,9 +101,12 @@ from repro.graph.scc import tarjan_scc
 #: and location equivalence — HU additionally evaluates label unions).
 OPT_STAGES: Tuple[str, ...] = ("none", "ovs", "hvn", "hu")
 
-#: Fixpoint bound for the reduce-and-rewrite cascade.  Real constraint
-#: systems converge in 3-4 rounds; the bound only guards against
-#: pathological ping-ponging.
+#: Fixpoint bound for the reduce-and-rewrite cascade.  Front-end units
+#: converge in 2-3 rounds and the synthetic profiles at 1/128 in 4-8;
+#: the wine/linux profiles at 1/32 take 6-8, and some reach their
+#: fixpoint exactly at the bound.  Stopping early is sound (every round
+#: is), and :attr:`PreprocessResult.converged` reports a stop at the
+#: bound.
 _MAX_ROUNDS = 8
 
 
@@ -145,6 +169,9 @@ class PreprocessResult:
     substitution: SubstitutionMap
     offline_seconds: float
     passes: int = 1
+    #: False when the reduce-and-rewrite cascade stopped at
+    #: ``_MAX_ROUNDS`` before reaching its fixpoint.
+    converged: bool = True
 
     @property
     def reduction_ratio(self) -> float:
@@ -168,43 +195,35 @@ class PreprocessResult:
 
 
 # ----------------------------------------------------------------------
-# Structural facts about one system (recomputed per round)
+# Constraint rows
 # ----------------------------------------------------------------------
 
+#: Rounds run on flat ``(kind, dst, src, offset)`` int rows with a
+#: parallel provenance list; ``Constraint`` objects and the reduced
+#: ``ConstraintSystem`` are built once, after the fixpoint.
+_BASE, _COPY, _LOAD, _STORE, _OFFS = range(5)
+_KINDS: Tuple[ConstraintKind, ...] = (
+    ConstraintKind.BASE,
+    ConstraintKind.COPY,
+    ConstraintKind.LOAD,
+    ConstraintKind.STORE,
+    ConstraintKind.OFFS,
+)
+_KIND_CODE: Dict[ConstraintKind, int] = {kind: code for code, kind in enumerate(_KINDS)}
 
-class _Structure:
-    """Round-invariant facts about the current constraint system."""
+_Row = Tuple[int, int, int, int]
 
-    def __init__(self, system: ConstraintSystem) -> None:
-        num_vars = system.num_vars
-        self.num_vars = num_vars
-        #: Indirect variables: writable through channels the offline graph
-        #: cannot see (indirect stores, offset stores into blocks).  They
-        #: receive fresh labels and are never substituted away.
-        self.protected: Set[int] = set(system.address_taken())
-        #: Ids inside any function/object block: offset arithmetic
-        #: addresses them relative to the block base, so neither their
-        #: node nor their location identity may move.
-        self.block_members: Set[int] = set()
-        for info in system.functions.values():
-            self.block_members.update(range(info.node, info.node + info.block_size))
-        for block in system.object_blocks.values():
-            self.block_members.update(range(block.node, block.node + block.block_size))
-        self.protected |= self.block_members
 
-        #: loc -> BASE destinations taking its address (the ADR uses).
-        adr_dests: Dict[int, Set[int]] = {}
-        for constraint in system.constraints:
-            if constraint.kind is ConstraintKind.BASE:
-                adr_dests.setdefault(constraint.src, set()).add(constraint.dst)
-        self.adr_dests = adr_dests
-
-        #: Location-equivalence candidates: address-taken and outside
-        #: every block, so offset arithmetic can neither produce nor
-        #: target them and every offset filter treats a class uniformly.
-        self.le_candidates: List[int] = sorted(
-            loc for loc in adr_dests if loc not in self.block_members
-        )
+def _block_members(system: ConstraintSystem) -> Set[int]:
+    """Ids inside any function/object block: offset arithmetic addresses
+    them relative to the block base, so neither their node nor their
+    location identity may move."""
+    members: Set[int] = set()
+    for info in system.functions.values():
+        members.update(range(info.node, info.node + info.block_size))
+    for block in system.object_blocks.values():
+        members.update(range(block.node, block.node + block.block_size))
+    return members
 
 
 # ----------------------------------------------------------------------
@@ -212,89 +231,116 @@ class _Structure:
 # ----------------------------------------------------------------------
 
 
-def _label_pass(
-    system: ConstraintSystem,
-    structure: _Structure,
-    mode: str,
-    armed_stores: Optional[Set[int]] = None,
-) -> List[int]:
-    """Compute one label bitset per variable of ``system``.
+@dataclass
+class _LabelPass:
+    """One round's labels and the dense bit numbering they are drawn from.
 
-    Label bit space: ``[0, num_vars)`` are interned location labels (bit
-    ``l`` is the ADR label of location ``l``), ``[num_vars, 2*num_vars)``
-    are the fresh labels of indirect variables, and bits above that are
-    ref-node fresh labels and HVN value numbers.
-
-    ``armed_stores`` lists constraint indices of STOREs proven to fire
-    (their pointer provably reaches a location the offset is valid for);
-    those — and only those — contribute an edge into the target ref
-    node, because only then is ``loadval(p,k) ⊇ pts(src)`` guaranteed
-    and the ref's label still an exact union decomposition.
+    The numbering is rebuilt every round over the live rows: ADR bit
+    ``i`` is the location ``locations[i]`` (address-taken locations in
+    sorted order); the next ``len(fresh_bit)`` bits are the fresh labels
+    of the protected variables, by rank; then one fresh bit per ref
+    node; then the HVN value numbers.  A label is as wide as the live
+    label universe, not the variable id space.
     """
-    num_vars = structure.num_vars
 
-    ref_ids: Dict[Tuple[str, int, int], int] = {}
+    #: One label per offline node: variables by id (0 for a variable no
+    #: row mentions), then the ref nodes.
+    labels: List[int]
+    #: The variables the rows mention plus the block members, sorted.
+    live: List[int]
+    #: ``locations[i]`` is the location ADR bit ``i`` denotes.
+    locations: List[int]
+    #: Protected (indirect) variable -> its fresh bit.  Protected
+    #: variables are writable through channels the offline graph cannot
+    #: see (indirect stores, offset stores into blocks): they receive
+    #: fresh labels and are never substituted away.
+    fresh_bit: Dict[int, int]
+    #: Location -> the BASE destinations taking its address (ADR uses).
+    adr_dests: Dict[int, Set[int]]
+    #: Ref nodes (offline node ids from ``num_vars`` up) this pass made.
+    ref_count: int
+    #: HVN value numbers this pass drew (0 under HU).
+    value_numbers: int
 
-    def ref_node(tag: str, var: int, offset: int) -> int:
-        key = (tag, var, offset)
+
+def _label_pass(
+    rows: Sequence[_Row],
+    num_vars: int,
+    block_members: Set[int],
+    mode: str,
+    armed_stores: AbstractSet[int],
+) -> _LabelPass:
+    """Label every variable ``rows`` mention (see :class:`_LabelPass`).
+
+    ``armed_stores`` lists row indices of STOREs proven to fire (their
+    pointer provably reaches a location the offset is valid for); those
+    — and only those — contribute an edge into the target ref node,
+    because only then is ``loadval(p,k) ⊇ pts(src)`` guaranteed and the
+    ref's label still an exact union decomposition.
+    """
+    live: Set[int] = set(block_members)
+    live.update(map(itemgetter(1), rows))
+    live.update(map(itemgetter(2), rows))
+    adr_dests: DefaultDict[int, Set[int]] = defaultdict(set)
+    ref_ids: Dict[Tuple[int, int, int], int] = {}
+    preds: DefaultDict[int, List[int]] = defaultdict(list)
+    succs: DefaultDict[int, List[int]] = defaultdict(list)
+
+    def ref_node(key: Tuple[int, int, int]) -> int:
         node = ref_ids.get(key)
         if node is None:
-            node = num_vars + len(ref_ids)
-            ref_ids[key] = node
+            node = ref_ids[key] = num_vars + len(ref_ids)
         return node
 
-    preds: Dict[int, List[int]] = {}
-    succs: Dict[int, List[int]] = {}
-
-    def add_edge(src: int, dst: int) -> None:
-        preds.setdefault(dst, []).append(src)
-        succs.setdefault(src, []).append(dst)
-
-    for index, constraint in enumerate(system.constraints):
-        kind = constraint.kind
-        if kind is ConstraintKind.COPY:
-            if constraint.src != constraint.dst:
-                add_edge(constraint.src, constraint.dst)
-        elif kind is ConstraintKind.LOAD:
-            add_edge(ref_node("ref", constraint.src, constraint.offset), constraint.dst)
-        elif kind is ConstraintKind.OFFS:
-            # A shifted copy: pts(dst) = pts(src)+k is opaque to the
-            # label calculus, but two shifts of the same source at the
-            # same offset are equivalent — model each as a ref node.
-            add_edge(ref_node("off", constraint.src, constraint.offset), constraint.dst)
-        elif kind is ConstraintKind.STORE:
+    for index, (kind, dst, src, offset) in enumerate(rows):
+        if kind == _BASE:
+            adr_dests[src].add(dst)
+            continue
+        if kind == _COPY:
+            if src == dst:
+                continue
+        elif kind == _STORE:
             # Unproven stores contribute no edges (see the module
             # docstring): the target refs' fresh labels cover them.
-            if armed_stores is not None and index in armed_stores:
-                add_edge(
-                    constraint.src,
-                    ref_node("ref", constraint.dst, constraint.offset),
-                )
+            if index not in armed_stores:
+                continue
+            dst = ref_node((_LOAD, dst, offset))
+        else:
+            # LOAD reads the ref node *(src+k).  OFFS is a shifted copy:
+            # pts(dst) = pts(src)+k is opaque to the label calculus, but
+            # two shifts of the same source at the same offset are
+            # equivalent — model each as a ref node of its own kind.
+            src = ref_node((kind, src, offset))
+        preds[dst].append(src)
+        succs[src].append(dst)
 
-    node_count = num_vars + len(ref_ids)
-    fresh_base = 2 * num_vars
-    next_label = fresh_base + len(ref_ids)
+    locations = sorted(adr_dests)
+    fresh_base = len(locations)
+    fresh_bit = {
+        var: fresh_base + rank
+        for rank, var in enumerate(sorted(adr_dests.keys() | block_members))
+    }
+    ref_base = fresh_base + len(fresh_bit)
+    value_base = ref_base + len(ref_ids)
 
-    own_bits = [0] * node_count
-    for constraint in system.constraints:
-        if constraint.kind is ConstraintKind.BASE:
-            own_bits[constraint.dst] |= 1 << constraint.src
-    for var in structure.protected:
-        own_bits[var] |= 1 << (num_vars + var)
+    own_bits = [0] * (num_vars + len(ref_ids))
+    for rank, loc in enumerate(locations):
+        adr = 1 << rank
+        for dst in adr_dests[loc]:
+            own_bits[dst] |= adr
+    for var, bit in fresh_bit.items():
+        own_bits[var] |= 1 << bit
     for index in range(len(ref_ids)):
-        own_bits[num_vars + index] |= 1 << (fresh_base + index)
+        own_bits[num_vars + index] = 1 << (ref_base + index)
 
-    def successors(node: int) -> Sequence[int]:
-        return succs.get(node, ())
-
-    # Condense only nodes that have edges: everything else (orphans of
-    # earlier rounds, plain BASE destinations) keeps its own-bits label,
-    # which keeps later rounds' SCC cost proportional to the *live*
-    # system, not the original id space.  Tarjan emits components
-    # sinks-first; propagation wants sources first, i.e. the reverse.
-    components = tarjan_scc(sorted(preds.keys() | succs.keys()), successors)
+    # Condense only nodes that have edges: everything else (plain BASE
+    # destinations, isolated block members) keeps its own-bits label.
+    # Tarjan emits components sinks-first; propagation wants sources
+    # first, i.e. the reverse.
+    components = tarjan_scc(sorted(preds.keys() | succs.keys()), succs.__getitem__)
 
     labels: List[int] = list(own_bits)
+    next_label = value_base
     if mode == "hu":
         # Symbolic evaluation: a node's label set is the union of its
         # predecessors' sets plus its own labels.  Members of one SCC
@@ -339,16 +385,26 @@ def _label_pass(
             for member in component:
                 labels[member] = bits
 
-    return labels[:num_vars]
+    return _LabelPass(
+        labels=labels,
+        live=sorted(live),
+        locations=locations,
+        fresh_bit=fresh_bit,
+        adr_dests=adr_dests,
+        ref_count=len(ref_ids),
+        value_numbers=next_label - value_base,
+    )
 
 
 # ----------------------------------------------------------------------
-# One reduce round: labels -> merges -> rewritten system
+# One reduce round: labels -> merges -> rewritten rows
 # ----------------------------------------------------------------------
 
 
-def _armed_stores(system: ConstraintSystem, labels: Sequence[int]) -> Set[int]:
-    """Indices of STORE constraints proven to fire under ``labels``.
+def _armed_stores(
+    rows: Sequence[_Row], labelled: _LabelPass, max_offset: Sequence[int]
+) -> Set[int]:
+    """Indices of STORE rows proven to fire under ``labelled``.
 
     An ADR bit travels only along edges whose delivery is unconditional,
     so a location bit in the pointer's label is a guaranteed member of
@@ -358,21 +414,21 @@ def _armed_stores(system: ConstraintSystem, labels: Sequence[int]) -> Set[int]:
     are never merged or compressed, so witnesses survive rewrites and a
     previous round's labels remain valid evidence).
     """
+    labels = labelled.labels
+    locations = labelled.locations
+    loc_mask = (1 << len(locations)) - 1
     armed: Set[int] = set()
-    loc_mask = (1 << system.num_vars) - 1
-    max_offset = system.max_offset
-    for index, constraint in enumerate(system.constraints):
-        if constraint.kind is not ConstraintKind.STORE:
+    for index, (kind, dst, _, offset) in enumerate(rows):
+        if kind != _STORE:
             continue
-        bits = labels[constraint.dst] & loc_mask
+        bits = labels[dst] & loc_mask
         if not bits:
             continue
-        offset = constraint.offset
         if offset == 0:
             armed.add(index)
             continue
         while bits:  # any witness location the offset stays inside?
-            witness = (bits & -bits).bit_length() - 1
+            witness = locations[(bits & -bits).bit_length() - 1]
             if max_offset[witness] >= offset:
                 armed.add(index)
                 break
@@ -381,31 +437,43 @@ def _armed_stores(system: ConstraintSystem, labels: Sequence[int]) -> Set[int]:
 
 
 def _reduce_round(
-    system: ConstraintSystem, mode: str, armed: Optional[Set[int]] = None
-) -> Tuple[ConstraintSystem, List[int], List[int], bool, List[int]]:
-    """Run one label pass and rewrite the system over the merges found.
+    rows: List[_Row],
+    provs: List[Optional[Provenance]],
+    num_vars: int,
+    block_members: Set[int],
+    mode: str,
+    armed: AbstractSet[int],
+) -> Tuple[List[_Row], List[Optional[Provenance]], List[int], Dict[int, int], _LabelPass]:
+    """Run one label pass and rewrite the rows over the merges found.
 
     ``armed`` carries store-arming evidence from the previous round's
-    labels (None on the first round).  Returns ``(reduced, var_to_rep,
-    loc_rep, changed, labels)`` where the maps cover this round only and
-    ``changed`` reports whether anything (merge *or* constraint
-    deletion) happened.
+    labels.  Returns ``(rows, provs, var_to_rep, loc_rep, labelled)``:
+    the rewritten rows and their provenance, this round's variable map
+    (total over ``num_vars``) and location map (merged locations only),
+    and the label pass.
     """
-    structure = _Structure(system)
-    num_vars = structure.num_vars
-    labels = _label_pass(system, structure, mode, armed)
+    labelled = _label_pass(rows, num_vars, block_members, mode, armed)
+    labels = labelled.labels
+    live = labelled.live
+    protected = labelled.fresh_bit
 
     # Pointer equivalence: equal labels prove equal points-to sets.
     # Indirect variables keep their online node (stores target them by
     # id), but they still *join* classes: an unprotected variable with
     # the same label as a protected one can adopt it as representative.
-    var_to_rep = list(range(num_vars))
-    class_rep: Dict[int, int] = {}
-    for var in range(num_vars):
-        key = labels[var]
-        rep = class_rep.setdefault(key, var)
-        if rep != var and var not in structure.protected:
-            var_to_rep[var] = rep
+    # Every variable no row mentions has label 0, so it joins the label-0
+    # class, whose representative is the lowest-id label-0 variable.
+    first_untouched = next(
+        (rank for rank, var in enumerate(live) if var != rank), len(live)
+    )
+    zero_rep = min(
+        first_untouched, next((var for var in live if not labels[var]), num_vars)
+    )
+    var_to_rep = [zero_rep] * num_vars
+    class_rep: Dict[int, int] = {0: zero_rep}
+    for var in live:
+        rep = class_rep.setdefault(labels[var], var)
+        var_to_rep[var] = var if var in protected else rep
 
     # Location equivalence.  Equal ADR-use label sets prove equal set
     # *membership* (the addresses enter pointer-equivalent destinations
@@ -414,12 +482,16 @@ def _reduce_round(
     # equal *own* points-to sets: co-occurrence makes the indirect
     # inflows (what the fresh bits denote) identical, and the remaining
     # bits cover all direct inflow.  Together the class folds onto one
-    # location id — in sets and as a node.
-    loc_rep = list(range(num_vars))
-    class_by_key: Dict[Tuple[frozenset, int], int] = {}
-    for loc in structure.le_candidates:
-        uses = frozenset(labels[dst] for dst in structure.adr_dests[loc])
-        masked = labels[loc] & ~(1 << (num_vars + loc))
+    # location id — in sets and as a node.  Block members are excluded:
+    # offset arithmetic can neither produce nor target the others, so
+    # every offset filter treats a class uniformly.
+    loc_rep: Dict[int, int] = {}
+    class_by_key: Dict[Tuple[FrozenSet[int], int], int] = {}
+    for loc in labelled.locations:
+        if loc in block_members:
+            continue
+        uses = frozenset(labels[dst] for dst in labelled.adr_dests[loc])
+        masked = labels[loc] & ~(1 << protected[loc])
         rep = class_by_key.setdefault((uses, masked), loc)
         if rep != loc:
             loc_rep[loc] = rep
@@ -429,18 +501,13 @@ def _reduce_round(
     # by location equivalence; compress chains so the rewrite lands
     # every constraint on the final representative (chains have length
     # at most 2 and no cycles: LE representatives are never re-mapped).
-    for var in range(num_vars):
+    for var in live:
         rep = var_to_rep[var]
         if var_to_rep[rep] != rep:
             var_to_rep[var] = var_to_rep[rep]
 
-    reduced_constraints = _rewrite(system, labels, var_to_rep, loc_rep)
-    # Progress test: merges among variables the constraints no longer
-    # mention are invisible (already-substituted orphans all share the
-    # empty label), so convergence is "the rewrite reproduced its input".
-    changed = reduced_constraints != list(system.constraints)
-    reduced = system.with_constraints(reduced_constraints)
-    return reduced, var_to_rep, loc_rep, changed, labels
+    rows, provs = _rewrite(rows, provs, labels, var_to_rep, loc_rep)
+    return rows, provs, var_to_rep, loc_rep, labelled
 
 
 def hvn_reduce(system: ConstraintSystem, mode: str = "hu") -> PreprocessResult:
@@ -456,45 +523,65 @@ def hvn_reduce(system: ConstraintSystem, mode: str = "hu") -> PreprocessResult:
         raise ValueError(f"mode must be 'hvn' or 'hu', got {mode!r}")
     start = time.perf_counter()
     num_vars = system.num_vars
+    block_members = _block_members(system)
 
-    current = system
+    constraints = system.constraints
+    rows: List[_Row] = [(_KIND_CODE[c.kind], c.dst, c.src, c.offset) for c in constraints]
+    provs: List[Optional[Provenance]] = [c.prov for c in constraints]
     total_var_to_rep = list(range(num_vars))
-    total_loc_rep = list(range(num_vars))
+    #: Merged location -> its class representative, over all rounds.
+    total_loc_rep: Dict[int, int] = {}
     passes = 0
-    armed: Optional[Set[int]] = None
+    converged = False
+    armed: Set[int] = set()
     while passes < _MAX_ROUNDS:
         passes += 1
-        current, var_to_rep, loc_rep, changed, labels = _reduce_round(
-            current, mode, armed
+        reduced_rows, provs, var_to_rep, loc_rep, labelled = _reduce_round(
+            rows, provs, num_vars, block_members, mode, armed
         )
-        for var in range(num_vars):
-            total_var_to_rep[var] = var_to_rep[total_var_to_rep[var]]
-            total_loc_rep[var] = loc_rep[total_loc_rep[var]]
-        # Arm the next round's stores from this round's labels (witnesses
-        # survive the rewrite — block bases are never merged).  Fixpoint
-        # needs *both* the constraints and the armed set stable: fresh
-        # labels can prove new stores even when no constraint changed.
-        next_armed = _armed_stores(current, labels)
-        if not changed and next_armed == (armed or set()):
+        total_var_to_rep = [var_to_rep[rep] for rep in total_var_to_rep]
+        if loc_rep:
+            total_loc_rep = {
+                loc: loc_rep.get(rep, rep) for loc, rep in total_loc_rep.items()
+            }
+            total_loc_rep.update(loc_rep)
+        # Progress test: merges among variables the rows no longer
+        # mention are invisible (already-substituted orphans all share
+        # the empty label), so "changed" is "the rewrite did not
+        # reproduce its input".  Arm the next round's stores from this
+        # round's labels (witnesses survive the rewrite — block bases
+        # are never merged).  Fixpoint needs *both* the rows and the
+        # armed set stable: fresh labels can prove new stores even when
+        # no row changed.
+        changed = reduced_rows != rows
+        rows = reduced_rows
+        next_armed = _armed_stores(rows, labelled, system.max_offset)
+        if not changed and next_armed == armed:
+            converged = True
             break
         armed = next_armed
 
-    loc_members: Dict[int, Tuple[int, ...]] = {}
+    # A class representative is its lowest-id member and never merged.
     members_of: Dict[int, List[int]] = {}
-    for loc in range(num_vars):
-        members_of.setdefault(total_loc_rep[loc], []).append(loc)
-    for rep, members in members_of.items():
-        if len(members) > 1:
-            loc_members[rep] = tuple(sorted(members))
+    for loc, rep in sorted(total_loc_rep.items()):
+        members_of.setdefault(rep, [rep]).append(loc)
+    loc_members = {rep: tuple(members) for rep, members in sorted(members_of.items())}
 
+    reduced = system.with_constraints(
+        [
+            Constraint(_KINDS[kind], dst, src, offset, prov)
+            for (kind, dst, src, offset), prov in zip(rows, provs)
+        ]
+    )
     elapsed = time.perf_counter() - start
     return PreprocessResult(
         stage=mode,
         original=system,
-        reduced=current,
+        reduced=reduced,
         substitution=SubstitutionMap(total_var_to_rep, loc_members),
         offline_seconds=elapsed,
         passes=passes,
+        converged=converged,
     )
 
 
@@ -504,76 +591,38 @@ def hvn_reduce(system: ConstraintSystem, mode: str = "hu") -> PreprocessResult:
 
 
 def _rewrite(
-    system: ConstraintSystem,
+    rows: Sequence[_Row],
+    provs: Sequence[Optional[Provenance]],
     labels: Sequence[int],
     var_to_rep: Sequence[int],
-    loc_rep: Sequence[int],
-) -> List[Constraint]:
-    """Substitute representatives and delete provably-dead constraints.
+    loc_rep: Mapping[int, int],
+) -> Tuple[List[_Row], List[Optional[Provenance]]]:
+    """Substitute representatives and delete provably-dead rows.
 
     A label set of 0 proves an always-empty points-to set: copies and
     offset-copies from such a variable can never act, loads and stores
     through such a pointer can never fire, and stores *of* such a value
     write nothing — all are deleted outright (the HU detection; under
     HVN the same rule applies to the strictly fewer empties it proves).
+    A row the rewrite produces twice keeps the first one's provenance.
     """
-    reduced: List[Constraint] = []
-    seen: Set[Tuple] = set()
-
-    def emit(kind: ConstraintKind, dst: int, src: int, offset: int, prov) -> None:
-        key = (kind, dst, src, offset)
-        if key not in seen:
-            seen.add(key)
-            reduced.append(Constraint(kind, dst, src, offset, prov))
-
-    for constraint in system.constraints:
-        kind = constraint.kind
-        if kind is ConstraintKind.BASE:
-            emit(
-                kind,
-                var_to_rep[constraint.dst],
-                loc_rep[constraint.src],
-                0,
-                constraint.prov,
-            )
-        elif kind is ConstraintKind.COPY:
-            if not labels[constraint.src]:
+    reduced: List[_Row] = []
+    reduced_provs: List[Optional[Provenance]] = []
+    seen: Set[_Row] = set()
+    for (kind, dst, src, offset), prov in zip(rows, provs):
+        if kind == _BASE:
+            row = (kind, var_to_rep[dst], loc_rep.get(src, src), 0)
+        elif not labels[src] or (kind == _STORE and not labels[dst]):
+            continue
+        else:
+            row = (kind, var_to_rep[dst], var_to_rep[src], offset)
+            if kind == _COPY and row[1] == row[2]:
                 continue
-            dst = var_to_rep[constraint.dst]
-            src = var_to_rep[constraint.src]
-            if dst != src:
-                emit(kind, dst, src, 0, constraint.prov)
-        elif kind is ConstraintKind.LOAD:
-            if not labels[constraint.src]:
-                continue
-            emit(
-                kind,
-                var_to_rep[constraint.dst],
-                var_to_rep[constraint.src],
-                constraint.offset,
-                constraint.prov,
-            )
-        elif kind is ConstraintKind.STORE:
-            if not labels[constraint.dst] or not labels[constraint.src]:
-                continue
-            emit(
-                kind,
-                var_to_rep[constraint.dst],
-                var_to_rep[constraint.src],
-                constraint.offset,
-                constraint.prov,
-            )
-        else:  # OFFS
-            if not labels[constraint.src]:
-                continue
-            emit(
-                kind,
-                var_to_rep[constraint.dst],
-                var_to_rep[constraint.src],
-                constraint.offset,
-                constraint.prov,
-            )
-    return reduced
+        if row not in seen:
+            seen.add(row)
+            reduced.append(row)
+            reduced_provs.append(prov)
+    return reduced, reduced_provs
 
 
 # ----------------------------------------------------------------------

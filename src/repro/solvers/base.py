@@ -42,10 +42,13 @@ class OptStats:
     representative, ``locations_merged`` the locations folded into a
     location-equivalence class; both are undone at export time through
     the stage's substitution map, so they are pure node-count savings.
+    ``converged`` is False when HVN/HU stopped at its round bound before
+    reaching the fixpoint (sound, but reduction was left on the table).
     """
 
     stage: str = "none"
     passes: int = 0
+    converged: bool = True
     vars_merged: int = 0
     locations_merged: int = 0
     constraints_deleted: int = 0
@@ -55,6 +58,7 @@ class OptStats:
         return {
             "stage": self.stage,
             "passes": self.passes,
+            "converged": self.converged,
             "vars_merged": self.vars_merged,
             "locations_merged": self.locations_merged,
             "constraints_deleted": self.constraints_deleted,
@@ -171,6 +175,7 @@ class BaseSolver:
             self.stats.opt = OptStats(
                 stage=pre.stage,
                 passes=pre.passes,
+                converged=pre.converged,
                 vars_merged=pre.merged_count(),
                 locations_merged=pre.locations_merged(),
                 constraints_deleted=pre.constraints_deleted(),

@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 from conftest import random_system
 from repro.constraints.builder import ConstraintBuilder
 from repro.constraints.model import ConstraintKind
+from repro.metrics.reporting import format_opt_summary
+from repro.preprocess import hvn
 from repro.preprocess.hvn import (
     _MAX_ROUNDS,
     OPT_STAGES,
@@ -25,7 +27,7 @@ from repro.preprocess.hvn import (
     preprocess_system,
 )
 from repro.preprocess.ovs import offline_variable_substitution
-from repro.solvers.registry import solve
+from repro.solvers.registry import make_solver, solve
 from repro.workloads import generate_workload
 from strategies import constraint_systems, opt_stages
 
@@ -279,3 +281,92 @@ class TestPreservation:
         assert nodes["ovs"] <= nodes["none"]
         assert nodes["hvn"] <= nodes["ovs"]
         assert nodes["hu"] <= nodes["hvn"]
+
+
+# ----------------------------------------------------------------------
+# Reduction power, label width and the round bound
+# ----------------------------------------------------------------------
+
+#: ``(passes, merged_count(), locations_merged(), len(reduced))`` per
+#: profile and mode at 1/128, seed 1.  A change that proves fewer merges
+#: stays sound, so the solution-equality tests cannot see it; these can.
+PINNED_REDUCTION = {
+    ("emacs", "hvn"): (4, 518, 8, 67),
+    ("emacs", "hu"): (4, 534, 13, 26),
+    ("wine", "hvn"): (6, 4089, 161, 173),
+    ("wine", "hu"): (5, 4096, 161, 157),
+    ("linux", "hvn"): (4, 3111, 93, 359),
+    ("linux", "hu"): (5, 3142, 99, 273),
+}
+
+
+def _block_member_ids(system):
+    members = set()
+    for info in system.functions.values():
+        members.update(range(info.node, info.node + info.block_size))
+    for block in system.object_blocks.values():
+        members.update(range(block.node, block.node + block.block_size))
+    return members
+
+
+class TestReductionPower:
+    @pytest.mark.parametrize("name,mode", sorted(PINNED_REDUCTION))
+    def test_pinned_reduction(self, name, mode):
+        system = generate_workload(name, scale=1 / 128, seed=1)
+        pre = hvn_reduce(system, mode)
+        measured = (
+            pre.passes, pre.merged_count(), pre.locations_merged(), len(pre.reduced)
+        )
+        assert measured == PINNED_REDUCTION[name, mode]
+        assert pre.converged
+
+    @pytest.mark.parametrize("mode", ["hvn", "hu"])
+    def test_labels_fit_the_live_universe(self, mode, monkeypatch):
+        """Every label bit is drawn from the round's live universe:
+        address-taken locations, protected variables, ref nodes (and
+        value numbers under HVN) — not from the variable id space."""
+        system = generate_workload("wine", scale=1 / 128, seed=1)
+        blocks = _block_member_ids(system)
+        passes = []
+        label_pass = hvn._label_pass
+
+        def spy(rows, *args):
+            labelled = label_pass(rows, *args)
+            passes.append((rows, labelled))
+            return labelled
+
+        monkeypatch.setattr(hvn, "_label_pass", spy)
+        pre = hvn_reduce(system, mode)
+        assert len(passes) == pre.passes
+        for rows, labelled in passes:
+            locations = {src for kind, _, src, _ in rows if kind == hvn._BASE}
+            universe = len(locations) + len(locations | blocks) + labelled.ref_count
+            if mode == "hvn":
+                universe += labelled.value_numbers
+            assert universe < system.num_vars
+            widest = max(label.bit_length() for label in labelled.labels)
+            assert widest <= universe
+
+    def test_converged_reported(self):
+        system = generate_workload("wine", scale=1 / 512, seed=1)
+        pre = hvn_reduce(system, "hu")
+        assert pre.converged
+        assert pre.passes < _MAX_ROUNDS
+        solver = make_solver(system, "lcd+hcd", opt="hu")
+        data = solver.stats.as_dict()
+        assert data["opt_converged"] is True
+        assert "round bound" not in format_opt_summary(data)
+
+    def test_stop_at_round_bound_reported(self, monkeypatch):
+        """A cascade cut at the bound is still sound, and says so."""
+        monkeypatch.setattr(hvn, "_MAX_ROUNDS", 1)
+        system = generate_workload("wine", scale=1 / 512, seed=1)
+        pre = hvn_reduce(system, "hu")
+        assert pre.passes == 1
+        assert not pre.converged
+        reference = solve(system, "naive")
+        assert pre.expand(solve(pre.reduced, "naive")) == reference
+        solver = make_solver(system, "lcd+hcd", opt="hu")
+        data = solver.stats.as_dict()
+        assert data["opt_converged"] is False
+        assert "1 passes (stopped at the round bound)" in format_opt_summary(data)
