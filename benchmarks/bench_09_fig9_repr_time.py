@@ -1,14 +1,10 @@
-"""Figure 9 — alternative points-to representations vs bitmaps (time).
+"""Figure 9 — BDD points-to sets vs bitmaps (time).
 
 Paper: the BDD representation averages ~2x slower, with most of the cost
 in ``bdd_allsat`` (set enumeration while resolving complex constraints);
 PKH and HCD — the heaviest propagators — can actually get *faster* with
-BDDs on some benchmarks.
-
-Extended to a three-way comparison: the hash-consed ``shared`` family
-keeps bitmap-speed enumeration while its memoized unions and O(1)
-equality must hold it within a small factor of plain bitmaps (the
-acceptance bound below is 1.15x geo-mean, faster welcome).
+BDDs on some benchmarks.  (The ``int`` family's time against bitmaps is
+bench_25's.)
 """
 
 
@@ -17,14 +13,11 @@ from paper_data import FIG9_BDD_SLOWDOWN
 from repro.metrics.reporting import Table, geometric_mean
 from repro.workloads import BENCHMARK_ORDER
 
-#: Shared must stay within this factor of bitmap wall time (geo-mean).
-SHARED_TIME_BUDGET = 1.15
 
-
-def _time_ratios(pts: str):
+def _time_ratios():
     return {
         algorithm: [
-            run_solver(n, algorithm, pts=pts).stats.solve_seconds
+            run_solver(n, algorithm, pts="bdd").stats.solve_seconds
             / max(run_solver(n, algorithm, pts="bitmap").stats.solve_seconds, 1e-9)
             for n in BENCHMARK_ORDER
         ]
@@ -48,24 +41,10 @@ def _emit(title: str, ratios) -> float:
 
 
 def test_fig9_bdd_time_ratio(benchmark):
-    ratios = benchmark.pedantic(
-        lambda: _time_ratios("bdd"), rounds=1, iterations=1
-    )
+    ratios = benchmark.pedantic(_time_ratios, rounds=1, iterations=1)
     overall = _emit(
         f"Figure 9 — BDD time / bitmap time (paper average ~{FIG9_BDD_SLOWDOWN}x)",
         ratios,
     )
     # Shape: BDD sets cost time on average (the paper's 2x direction).
     assert overall > 1.0
-
-
-def test_fig9_shared_time_ratio(benchmark):
-    ratios = benchmark.pedantic(
-        lambda: _time_ratios("shared"), rounds=1, iterations=1
-    )
-    overall = _emit(
-        "Figure 9 (ext) — shared (hash-consed) time / bitmap time",
-        ratios,
-    )
-    # Shape: interning must not cost bitmap speed — within budget or faster.
-    assert overall <= SHARED_TIME_BUDGET

@@ -1,15 +1,10 @@
-"""Figure 10 — bitmap memory normalized to the sharing representations.
+"""Figure 10 — bitmap memory normalized to BDD memory.
 
 Paper: the BDD representation uses ~5.5x less memory on average, with the
 caveat that the fixed pool makes the *smallest* benchmark (Emacs) cheaper
 in bitmaps — we reproduce both the average direction and that caveat's
-mechanism (the ratio grows with benchmark size).
-
-Extended to a three-way comparison: the hash-consed ``shared`` family
-attacks the same redundancy from the bitmap side — converged variables
-hold identical sets, which the intern table stores once — so its
-points-to footprint must also land strictly below plain bitmaps on the
-large workloads.
+mechanism (the ratio grows with benchmark size).  (The ``int`` family's
+memory against bitmaps is bench_25's.)
 """
 
 
@@ -19,12 +14,12 @@ from repro.metrics.reporting import Table, geometric_mean
 from repro.workloads import BENCHMARK_ORDER
 
 
-def _memory_ratios(pts: str):
-    """bitmap pts bytes / ``pts`` family pts bytes, per algorithm/benchmark."""
+def _memory_ratios():
+    """bitmap pts bytes / BDD pts bytes, per algorithm/benchmark."""
     return {
         algorithm: [
             run_solver(n, algorithm, pts="bitmap").stats.pts_memory_bytes
-            / max(run_solver(n, algorithm, pts=pts).stats.pts_memory_bytes, 1)
+            / max(run_solver(n, algorithm, pts="bdd").stats.pts_memory_bytes, 1)
             for n in BENCHMARK_ORDER
         ]
         for algorithm in TABLE5_ALGORITHMS
@@ -47,9 +42,7 @@ def _emit(title: str, ratios) -> float:
 
 
 def test_fig10_bdd_memory_ratio(benchmark):
-    ratios = benchmark.pedantic(
-        lambda: _memory_ratios("bdd"), rounds=1, iterations=1
-    )
+    ratios = benchmark.pedantic(_memory_ratios, rounds=1, iterations=1)
     overall = _emit(
         "Figure 10 — bitmap pts memory / BDD pts memory "
         f"(paper average ~{FIG10_BDD_MEMORY_SAVING}x)",
@@ -65,26 +58,3 @@ def test_fig10_bdd_memory_ratio(benchmark):
     )
     assert overall > 1.0
     assert big > 1.0
-
-
-def test_fig10_shared_memory_ratio(benchmark):
-    ratios = benchmark.pedantic(
-        lambda: _memory_ratios("shared"), rounds=1, iterations=1
-    )
-    overall = _emit(
-        "Figure 10 (ext) — bitmap pts memory / shared (hash-consed) pts memory",
-        ratios,
-    )
-
-    # Acceptance: shared strictly below bitmap on at least two of the
-    # three large workloads (emacs/wine/linux), for every algorithm.
-    wins = 0
-    for name in ("emacs", "wine", "linux"):
-        idx = BENCHMARK_ORDER.index(name)
-        if all(ratios[a][idx] > 1.0 for a in TABLE5_ALGORITHMS):
-            wins += 1
-    assert wins >= 2, {
-        n: [ratios[a][BENCHMARK_ORDER.index(n)] for a in TABLE5_ALGORITHMS]
-        for n in ("emacs", "wine", "linux")
-    }
-    assert overall > 1.0

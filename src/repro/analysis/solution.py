@@ -35,7 +35,7 @@ class PointsToSolution:
         a nonsense fact in a downstream client.
 
         ``backing`` optionally maps variables to the solver's own
-        representation-native sets (bitmap/shared/BDD); :meth:`intersects`
+        representation-native sets (bitmap/BDD/int); :meth:`intersects`
         answers through their native AND instead of a Python-level scan.
         Backing never affects equality, hashing or the frozenset queries —
         it is a query accelerator, not part of the solution's value."""

@@ -492,9 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
             default="bitmap",
             choices=list(FAMILY_KINDS),
             help="points-to representation: GCC-style sparse bitmaps, "
-            "hash-consed shared bitmaps (interned, memoized unions), "
-            "per-variable BDDs, or bignum intsets (fused word-parallel "
-            "kernel)",
+            "per-variable BDDs, or interned bignum intsets (memoized "
+            "unions, fused word-parallel kernel)",
         )
         p.add_argument(
             "--opt",
@@ -620,7 +619,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--pts",
         default="bitmap",
         choices=list(FAMILY_KINDS),
-        help="points-to representation (bitmap, shared, bdd, or int)",
+        help="points-to representation (bitmap, bdd, or int)",
     )
     p_compare.add_argument(
         "--opt",

@@ -9,11 +9,10 @@ actually turns on:
   plus constraint-graph successor sets (Section 5.4: "the majority of
   this memory usage comes from the bit-map representation of points-to
   sets");
-- **shared (hash-consed) bitmaps** — the intern table's live canonical
-  nodes, each counted once no matter how many variables hold that value
-  (the same counted-once discipline as the BDD manager — sharing is the
-  entire memory story of Figure 10, reproduced here from the bitmap
-  side);
+- **interned bignum sets** (``int``) — each distinct live value counted
+  once no matter how many variables hold it, plus the intern table's
+  per-entry bookkeeping (the same counted-once discipline as the BDD
+  manager);
 - **BDD representations** — the shared node pool (BuDDy's
   benchmark-independent allocation; Section 5.2 notes BLQ's near-constant
   footprint).

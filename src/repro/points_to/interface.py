@@ -59,7 +59,7 @@ class PointsToFamily:
     name: str = "abstract"
 
     #: True when ``same_as`` is O(1) (canonical representations: BDD node
-    #: ids, interned "shared" nodes).  Solvers use it to gate equality
+    #: ids, interned ``int`` values).  Solvers use it to gate equality
     #: fast paths that would cost a scan on plain bitmaps.
     constant_time_equality: bool = False
 
@@ -95,31 +95,27 @@ class PointsToFamily:
         raise NotImplementedError
 
     def intern_stats(self):
-        """Hash-consing counters (``shared`` family only), else ``None``."""
+        """Hash-consing counters (``int`` family only), else ``None``."""
         return None
 
 
 #: Registered representation names, in the benchmarks' comparison order.
-FAMILY_KINDS = ("bitmap", "shared", "bdd", "int")
+FAMILY_KINDS = ("bitmap", "bdd", "int")
 
 
 def make_family(kind: str, num_locs: int) -> PointsToFamily:
-    """Build a points-to family: ``"bitmap"``, ``"shared"``, ``"bdd"`` or
-    ``"int"``.
+    """Build a points-to family: ``"bitmap"``, ``"bdd"`` or ``"int"``.
 
     ``num_locs`` bounds the location ids the sets will hold (the BDD family
-    sizes its domain from it; the bitmap families ignore it).
+    sizes its domain from it; the other families ignore it).
     """
     # Imported here to avoid a cycle with the implementation modules.
     from repro.points_to.bdd_set import BDDPointsToFamily
     from repro.points_to.bitmap_set import BitmapPointsToFamily
     from repro.points_to.intset import IntPointsToFamily
-    from repro.points_to.shared_set import SharedPointsToFamily
 
     if kind == "bitmap":
         return BitmapPointsToFamily()
-    if kind == "shared":
-        return SharedPointsToFamily()
     if kind == "bdd":
         return BDDPointsToFamily(num_locs)
     if kind == "int":

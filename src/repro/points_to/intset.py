@@ -134,7 +134,7 @@ class IntPointsToFamily(PointsToFamily):
 
     def __init__(self, memo_capacity: int = DEFAULT_MEMO_CAPACITY) -> None:
         self.table = IntInternTable(memo_capacity=memo_capacity)
-        #: Handles ever created — dedup-ratio numerator, as in `shared`.
+        #: Handles ever created (numerator of the dedup ratio).
         self.sets_made = 0
         #: Live handles, tracked weakly for value-deduplicated accounting.
         self._live: "weakref.WeakSet[IntPointsToSet]" = weakref.WeakSet()

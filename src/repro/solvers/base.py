@@ -82,7 +82,7 @@ class SolverStats:
     solve_seconds: float = 0.0
     pts_memory_bytes: int = 0
     graph_memory_bytes: int = 0
-    #: Filled in by runs using the hash-consed "shared" points-to family.
+    #: Filled in by runs using the interned ``int`` points-to family.
     intern: Optional[InternStats] = None
     #: Filled in by runs with the invariant sanitizer installed.
     verify: Optional[VerifyStats] = None

@@ -77,23 +77,16 @@ class TestSolve:
         assert code == 0
         assert "p -> {x}" in out
 
-    def test_shared_representation(self, constraint_file, capsys):
-        code, out, _ = run_cli(
-            ["solve", constraint_file, "--pts", "shared"], capsys
-        )
-        assert code == 0
-        assert "p -> {x}" in out
-
-    def test_shared_matches_bitmap_output(self, constraint_file, capsys):
+    @pytest.mark.parametrize("pts", ["int", "bdd"])
+    def test_family_matches_bitmap_output(self, constraint_file, capsys, pts):
         _, bitmap_out, _ = run_cli(["solve", constraint_file], capsys)
-        _, shared_out, _ = run_cli(
-            ["solve", constraint_file, "--pts", "shared"], capsys
-        )
-        assert shared_out == bitmap_out
+        code, out, _ = run_cli(["solve", constraint_file, "--pts", pts], capsys)
+        assert code == 0
+        assert out == bitmap_out
 
-    def test_shared_stats_counters(self, constraint_file, capsys):
+    def test_int_stats_counters(self, constraint_file, capsys):
         code, out, _ = run_cli(
-            ["solve", constraint_file, "--pts", "shared", "--stats"], capsys
+            ["solve", constraint_file, "--pts", "int", "--stats"], capsys
         )
         assert code == 0
         assert "intern_live_nodes" in out

@@ -49,7 +49,7 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"pointee id {culprit} in pts"):
             PointsToSolution(mapping, num_vars=20, num_locs=20)
 
-    def test_variable_range_checked_for_shared_sets(self):
+    def test_variable_range_checked_for_one_set_object(self):
         shared = [1]
         with pytest.raises(ValueError, match="variable id 5"):
             PointsToSolution({0: shared, 5: shared}, num_vars=5)
@@ -83,7 +83,7 @@ def workloads():
 
 
 class TestPipelineSharing:
-    @pytest.mark.parametrize("pts", ["bitmap", "shared", "bdd", "int"])
+    @pytest.mark.parametrize("pts", ["bitmap", "bdd", "int"])
     @pytest.mark.parametrize("k_cs", [0, 1])
     def test_no_stage_mints_sets(self, workloads, pts, k_cs):
         """export -> HU expand -> projection never holds more distinct set

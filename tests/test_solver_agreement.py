@@ -113,59 +113,17 @@ class TestRandomizedDifferential:
             solver = make_solver(system, "lcd", worklist=strategy)
             assert solver.solve() == reference, strategy
 
-
-class TestSharedFamily:
-    """The hash-consed family must be *bit-identical* to bitmaps: same
-    solver, same input, same solution, for every registered algorithm."""
-
-    @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    def test_every_solver_on_fixtures(self, simple_system, cycle_system, algorithm):
-        for system in (simple_system, cycle_system):
-            assert solve(system, algorithm, pts="shared") == solve(
-                system, algorithm, pts="bitmap"
-            ), algorithm
-
-    @pytest.mark.parametrize("name", ["emacs", "wine", "linux"])
-    def test_workloads_bit_identical(self, name):
-        system = generate_workload(name, scale=1 / 512, seed=2)
-        reference = solve(system, "naive", pts="bitmap")
-        for algorithm in ("lcd", "hcd", "lcd+hcd", "wave"):
-            assert solve(system, algorithm, pts="shared") == reference, algorithm
-
-    @given(st.integers(0, 10_000))
-    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    def test_random_systems_agree(self, seed):
-        system = random_system(seed)
-        reference = solve(system, "naive")
-        for algorithm in ("lcd", "lcd+hcd", "ht", "pkh", "hcd", "wave"):
-            result = solve(system, algorithm, pts="shared")
-            assert result == reference, (algorithm, result.diff(reference))
-
     @given(system=constraint_systems(), pts=pts_families)
     @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_generated_systems_across_families(self, system, pts):
-        """Hypothesis-shrinkable differential over all three families."""
+        """Hypothesis-shrinkable differential over every family."""
         assert solve(system, "lcd+hcd", pts=pts) == solve(system, "naive")
-
-    def test_shared_stats_populated(self):
-        from repro.solvers.registry import make_solver
-
-        system = generate_workload("emacs", scale=1 / 512, seed=2)
-        solver = make_solver(system, "lcd+hcd", pts="shared")
-        solver.solve()
-        stats = solver.stats
-        assert stats.intern is not None
-        assert stats.intern.live_nodes >= 1  # at least the pinned empty set
-        assert stats.intern.peak_nodes >= stats.intern.live_nodes
-        assert "intern_union_memo_hits" in stats.as_dict()
-        # Sharing: far fewer canonical values than set handles.
-        assert stats.intern.live_nodes < solver.family.sets_made
 
 
 class TestIntFamily:
     """The bignum family runs the fused word-parallel kernel, which takes
-    different code paths through every solver — so its bar is the same as
-    ``shared``'s: *bit-identical* to bitmaps for every algorithm."""
+    different code paths through every solver — so it must be
+    *bit-identical* to bitmaps for every algorithm."""
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_every_solver_on_fixtures(self, simple_system, cycle_system, algorithm):
@@ -195,13 +153,13 @@ class TestIntFamily:
     def test_difference_propagation_agrees(self, seed):
         """Difference mode computes prev-set deltas per family: one
         bignum diff (``int``), a block-level bitmap diff (``bitmap``) or
-        the element path (``shared``); exercise each across its
+        the element path (``bdd``); exercise each across its
         consumers."""
         from repro.solvers.registry import _BASE_SOLVERS
 
         system = random_system(seed)
         reference = solve(system, "naive")
-        for pts in ("bitmap", "shared", "int"):
+        for pts in ("bitmap", "bdd", "int"):
             for algorithm in ("naive", "pkh", "hcd"):
                 solver = _BASE_SOLVERS[algorithm](
                     system, pts=pts, difference_propagation=True

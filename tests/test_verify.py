@@ -173,12 +173,6 @@ class TestSanitizerCleanRuns:
             solver = make_solver(system, algorithm, sanitize=True)
             assert solver.solve() == reference, algorithm
 
-    def test_shared_family_intern_checked(self):
-        system = generate_workload("emacs", scale=1 / 512, seed=2)
-        solver = make_solver(system, "lcd+hcd", pts="shared", sanitize=True)
-        solver.solve()
-        assert solver.stats.verify.intern_checks >= 1
-
     def test_verify_counters_in_stats_dict(self, simple_system):
         solver = make_solver(simple_system, "lcd+hcd", sanitize=True)
         solver.solve()
