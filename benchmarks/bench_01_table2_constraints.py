@@ -9,10 +9,10 @@ constraints by 60-77%", taking under a second to a few seconds).
 
 import pytest
 
-from conftest import SCALE, emit_table, workload
+from conftest import SCALE, emit_table
 from repro.constraints.model import ConstraintKind
 from repro.metrics.reporting import Table
-from repro.preprocess.ovs import offline_variable_substitution
+from repro.preprocess.hvn import preprocess_system
 from repro.workloads import BENCHMARK_ORDER, BENCHMARKS, generate_workload
 
 _rows = {}
@@ -24,7 +24,7 @@ def test_table2_ovs_reduction(benchmark, name):
     system = generate_workload(name, scale=SCALE, seed=1)
 
     result = benchmark.pedantic(
-        offline_variable_substitution, args=(system,), rounds=1, iterations=1
+        preprocess_system, args=(system, "ovs"), rounds=1, iterations=1
     )
 
     counts = result.reduced.kind_counts()

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import SCALE, emit_table
 from repro.metrics.reporting import Table
-from repro.preprocess.ovs import offline_variable_substitution
+from repro.preprocess.hvn import preprocess_system
 from repro.solvers.registry import make_solver
 from repro.workloads import generate_workload
 
@@ -22,7 +22,7 @@ _results = {}
 @pytest.mark.parametrize("reduced", [True, False], ids=["with-ovs", "without-ovs"])
 def test_ablation_ovs(benchmark, reduced, name):
     system = generate_workload(name, scale=SCALE, seed=1)
-    ovs = offline_variable_substitution(system)
+    ovs = preprocess_system(system, "ovs")
 
     def run():
         if reduced:

@@ -20,6 +20,8 @@ Three budgets arm at REPRO_SCALE ≤ 128:
 
 Every stage's expanded solution is asserted bit-identical to the
 unoptimized run — a speed number from a wrong solution is worthless.
+At every scale, HU must subsume HVN on each workload: no more
+constraints left and no fewer variables merged.
 """
 
 import gc
@@ -139,6 +141,9 @@ def test_hvn_hu_ablation(benchmark):
                     ),
                 }
             )
+        hvn_run, hu_run = per_stage["hvn"][0], per_stage["hu"][0]
+        assert len(hu_run.system) <= len(hvn_run.system), name
+        assert hu_run.stats.opt.vars_merged >= hvn_run.stats.opt.vars_merged, name
         ovs_nodes = live_var_count(per_stage["ovs"][0].system)
         hu_nodes = live_var_count(per_stage["hu"][0].system)
         node_ratios.append(hu_nodes / ovs_nodes if ovs_nodes else 1.0)

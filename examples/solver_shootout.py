@@ -12,7 +12,7 @@ Run:  python examples/solver_shootout.py [benchmark] [scale-denominator]
 import sys
 
 from repro.metrics.reporting import Table
-from repro.preprocess import offline_variable_substitution
+from repro.preprocess import preprocess_system
 from repro.solvers.registry import PAPER_ALGORITHMS, make_solver
 from repro.workloads import generate_workload
 
@@ -25,7 +25,7 @@ def main() -> None:
     print(f"benchmark {benchmark!r} at 1/{denominator:g} scale: "
           f"{system.num_vars} vars, {len(system)} constraints")
 
-    ovs = offline_variable_substitution(system)
+    ovs = preprocess_system(system, "ovs")
     print(
         f"OVS: {len(system)} -> {len(ovs.reduced)} constraints "
         f"({ovs.reduction_ratio:.0%} reduction, {ovs.offline_seconds*1000:.0f} ms)"

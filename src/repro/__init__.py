@@ -30,7 +30,7 @@ from repro.constraints import (
     loads_constraints,
     dumps_constraints,
 )
-from repro.preprocess import hcd_offline_analysis, offline_variable_substitution
+from repro.preprocess import hcd_offline_analysis, preprocess_system
 from repro.solvers import available_solvers, make_solver, solve
 
 __version__ = "1.0.0"
@@ -45,7 +45,7 @@ __all__ = [
     "PointsToSolution",
     "AliasAnalysis",
     "build_call_graph",
-    "offline_variable_substitution",
+    "preprocess_system",
     "hcd_offline_analysis",
     "available_solvers",
     "make_solver",

@@ -44,7 +44,6 @@ from repro.metrics.memory import to_megabytes
 from repro.metrics.reporting import Table, format_ctx_summary, format_opt_summary
 from repro.points_to.interface import FAMILY_KINDS
 from repro.preprocess.hvn import OPT_STAGES, preprocess_system
-from repro.preprocess.ovs import offline_variable_substitution
 from repro.solvers.registry import available_solvers, make_solver
 from repro.verify.sanitizer import InvariantViolation
 from repro.workloads import BENCHMARK_ORDER, generate_workload
@@ -441,13 +440,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     print(f"functions:    {len(system.functions)}")
     print(f"address-taken variables: {len(system.address_taken())}")
     print(f"dereferenced variables:  {len(system.dereferenced())}")
-    ovs = offline_variable_substitution(system)
-    print(
-        f"OVS: {len(system)} -> {len(ovs.reduced)} constraints "
-        f"({ovs.reduction_ratio:.0%} reduction, "
-        f"{ovs.merged_count()} variables substituted)"
-    )
-    for stage in ("hvn", "hu"):
+    for stage in OPT_STAGES[1:]:
         pre = preprocess_system(system, stage)
         print(
             f"{stage.upper()}: {len(system)} -> {len(pre.reduced)} constraints "
@@ -713,7 +706,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_reduce.add_argument("-o", "--output", help="write the repro here")
     p_reduce.set_defaults(func=_cmd_reduce)
 
-    p_stats = sub.add_parser("stats", help="constraint-file statistics + OVS preview")
+    p_stats = sub.add_parser("stats", help="constraint-file statistics + offline-stage preview")
     p_stats.add_argument("file")
     p_stats.set_defaults(func=_cmd_stats)
 

@@ -154,9 +154,6 @@ class IntBitSet:
     def same_as(self, other: "IntBitSet") -> bool:
         return self.bits == other.bits
 
-    def issubset(self, other: "IntBitSet") -> bool:
-        return not (self.bits & ~other.bits)
-
     def difference_iter(self, other: "IntBitSet") -> Iterator[int]:
         return iter_bits(self.bits & ~other.bits)
 

@@ -181,15 +181,6 @@ class SparseBitmap:
             return True
         return self._count == other._count and self._blocks == other._blocks
 
-    def issubset(self, other: "SparseBitmap") -> bool:
-        if self._count > other._count:
-            return False
-        for block_index, word in self._blocks.items():
-            other_word = other._blocks.get(block_index, 0)
-            if word & ~other_word:
-                return False
-        return True
-
     def difference_iter(self, other: "SparseBitmap") -> Iterator[int]:
         """Yield elements of ``self`` that are not in ``other``, ascending.
 

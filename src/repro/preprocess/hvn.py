@@ -1,4 +1,4 @@
-"""The offline HVN/HU optimization lattice (Hardekopf & Lin, SAS 2007).
+"""The offline label stages: OVS and the HVN/HU lattice (Hardekopf & Lin, SAS 2007).
 
 The companion paper to the one reproduced here ("Exploiting Pointer and
 Location Equivalence to Optimize Pointer Analysis") shows that the
@@ -51,6 +51,12 @@ Each round is plain, independently-sound HVN/HU on the current system,
 so soundness composes by induction; rounds after the first run on a
 system ~10x smaller, so the fixpoint costs little more than one pass.
 
+**OVS** — Rountev & Chandra's Offline Variable Substitution, the
+paper's pre-processing step — is the first HU round alone: union
+labels, pointer merges and dead-constraint deletion, without location
+equivalence or a second round.  No store is armed in a first round, so
+nothing else differs.
+
 Label sets are Python bignums (one bit per label), in the spirit of the
 ``int`` points-to family: unions are single ``|`` expressions and
 interning is one dict probe.  Each round numbers its label bits densely
@@ -96,9 +102,10 @@ from repro.graph.scc import tarjan_scc
 
 #: The offline pipeline stages, weakest to strongest.  ``none`` feeds the
 #: solver the raw constraints; ``ovs`` is Rountev-style offline variable
-#: substitution (:mod:`repro.preprocess.ovs`); ``hvn`` and ``hu`` are the
-#: SAS 2007 lattice implemented here (both include ref-node unification
-#: and location equivalence — HU additionally evaluates label unions).
+#: substitution, run here as a single HU round without location
+#: equivalence; ``hvn`` and ``hu`` iterate rounds to a fixpoint (both
+#: include ref-node unification and location equivalence — HU
+#: additionally evaluates label unions).
 OPT_STAGES: Tuple[str, ...] = ("none", "ovs", "hvn", "hu")
 
 #: Fixpoint bound for the reduce-and-rewrite cascade.  Front-end units
@@ -168,7 +175,7 @@ class PreprocessResult:
     reduced: ConstraintSystem
     substitution: SubstitutionMap
     offline_seconds: float
-    passes: int = 1
+    passes: int
     #: False when the reduce-and-rewrite cascade stopped at
     #: ``_MAX_ROUNDS`` before reaching its fixpoint.
     converged: bool = True
@@ -341,11 +348,11 @@ def _label_pass(
 
     labels: List[int] = list(own_bits)
     next_label = value_base
-    if mode == "hu":
-        # Symbolic evaluation: a node's label set is the union of its
-        # predecessors' sets plus its own labels.  Members of one SCC
-        # share a set (same-component preds read 0 mid-walk; harmless,
-        # their own bits are OR-ed in directly).
+    if mode != "hvn":
+        # HU (and OVS) symbolic evaluation: a node's label set is the
+        # union of its predecessors' sets plus its own labels.  Members
+        # of one SCC share a set (same-component preds read 0 mid-walk;
+        # harmless, their own bits are OR-ed in directly).
         for component in reversed(components):
             bits = 0
             for member in component:
@@ -484,10 +491,12 @@ def _reduce_round(
     # bits cover all direct inflow.  Together the class folds onto one
     # location id — in sets and as a node.  Block members are excluded:
     # offset arithmetic can neither produce nor target the others, so
-    # every offset filter treats a class uniformly.
+    # every offset filter treats a class uniformly.  OVS merges pointers
+    # only.
     loc_rep: Dict[int, int] = {}
     class_by_key: Dict[Tuple[FrozenSet[int], int], int] = {}
-    for loc in labelled.locations:
+    locations = labelled.locations if mode != "ovs" else ()
+    for loc in locations:
         if loc in block_members:
             continue
         uses = frozenset(labels[dst] for dst in labelled.adr_dests[loc])
@@ -511,16 +520,18 @@ def _reduce_round(
 
 
 def hvn_reduce(system: ConstraintSystem, mode: str = "hu") -> PreprocessResult:
-    """Run the HVN (``mode="hvn"``) or HU (``mode="hu"``) pipeline stage.
+    """Run the OVS, HVN or HU pipeline stage (``mode`` names it).
 
-    Reduce-and-rewrite rounds repeat until nothing merges: rewriting
-    makes proven-equivalent pointers *the same variable*, which unifies
-    their ref nodes, and makes merged locations *the same ADR label*,
-    which equalizes their users — each round therefore unlocks merges
-    the previous one could not see (the paper's HR/LE cascade).
+    Under HVN and HU, reduce-and-rewrite rounds repeat until nothing
+    merges: rewriting makes proven-equivalent pointers *the same
+    variable*, which unifies their ref nodes, and makes merged locations
+    *the same ADR label*, which equalizes their users — each round
+    therefore unlocks merges the previous one could not see (the paper's
+    HR/LE cascade).  OVS is the first HU round alone, without location
+    equivalence: Rountev & Chandra's pointer-equivalence substitution.
     """
-    if mode not in ("hvn", "hu"):
-        raise ValueError(f"mode must be 'hvn' or 'hu', got {mode!r}")
+    if mode not in OPT_STAGES[1:]:
+        raise ValueError(f"mode must be 'ovs', 'hvn' or 'hu', got {mode!r}")
     start = time.perf_counter()
     num_vars = system.num_vars
     block_members = _block_members(system)
@@ -555,6 +566,9 @@ def hvn_reduce(system: ConstraintSystem, mode: str = "hu") -> PreprocessResult:
         # no row changed.
         changed = reduced_rows != rows
         rows = reduced_rows
+        if mode == "ovs":
+            converged = True  # one round is the whole stage
+            break
         next_armed = _armed_stores(rows, labelled, system.max_offset)
         if not changed and next_armed == armed:
             converged = True
@@ -650,18 +664,6 @@ def preprocess_system(
             substitution=SubstitutionMap.identity(system.num_vars),
             offline_seconds=0.0,
             passes=0,
-        )
-    if opt == "ovs":
-        # The Rountev-style baseline stage, wrapped into the common shape.
-        from repro.preprocess.ovs import offline_variable_substitution
-
-        ovs = offline_variable_substitution(system)
-        return PreprocessResult(
-            stage="ovs",
-            original=system,
-            reduced=ovs.reduced,
-            substitution=SubstitutionMap(list(ovs.var_to_rep)),
-            offline_seconds=ovs.offline_seconds,
         )
     return hvn_reduce(system, mode=opt)
 

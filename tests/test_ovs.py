@@ -1,13 +1,12 @@
-"""Tests for Offline Variable Substitution."""
+"""Tests for Offline Variable Substitution, the ``--opt ovs`` stage."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_system
 from repro.constraints.builder import ConstraintBuilder
 from repro.constraints.model import ConstraintKind
-from repro.preprocess.ovs import offline_variable_substitution
+from repro.preprocess.hvn import preprocess_system
 from repro.solvers.registry import solve
 
 
@@ -21,8 +20,8 @@ class TestBasicMerging:
         b.assign(t1, p)
         b.assign(t2, t1)
         b.assign(q, t2)
-        result = offline_variable_substitution(b.build())
-        rep = result.var_to_rep
+        result = preprocess_system(b.build(), "ovs")
+        rep = result.substitution.var_to_rep
         assert rep[t1] == rep[t2] == rep[q]
         # The three copies collapse to at most one onto the class rep.
         assert len(result.reduced) <= 2
@@ -33,8 +32,8 @@ class TestBasicMerging:
         p, q = b.var("p"), b.var("q")
         b.address_of(p, x)
         b.address_of(q, x)
-        result = offline_variable_substitution(b.build())
-        assert result.var_to_rep[q] == p
+        result = preprocess_system(b.build(), "ovs")
+        assert result.substitution.var_to_rep[q] == p
         assert len(result.reduced) == 1  # one base constraint survives
 
     def test_different_bases_not_merged(self):
@@ -42,16 +41,18 @@ class TestBasicMerging:
         p, q = b.var("p"), b.var("q")
         b.address_of(p, b.var("x"))
         b.address_of(q, b.var("y"))
-        result = offline_variable_substitution(b.build())
-        assert result.var_to_rep[p] != result.var_to_rep[q] or p == q
+        result = preprocess_system(b.build(), "ovs")
+        rep = result.substitution.var_to_rep
+        assert rep[p] != rep[q]
 
     def test_empty_variables_share_class(self):
         b = ConstraintBuilder()
         a, c = b.var("a"), b.var("c")
         d = b.var("d")
         b.assign(a, c)  # all provably empty
-        result = offline_variable_substitution(b.build())
-        assert result.var_to_rep[c] == result.var_to_rep[d] or c == d
+        result = preprocess_system(b.build(), "ovs")
+        rep = result.substitution.var_to_rep
+        assert rep[c] == rep[d]
         assert len(result.reduced) == 0  # the dead copy is dropped
 
     def test_copy_cycle_merges(self):
@@ -62,8 +63,8 @@ class TestBasicMerging:
         b.assign(q, p)
         b.assign(r, q)
         b.assign(p, r)
-        result = offline_variable_substitution(b.build())
-        rep = result.var_to_rep
+        result = preprocess_system(b.build(), "ovs")
+        rep = result.substitution.var_to_rep
         assert rep[p] == rep[q] == rep[r]
 
 
@@ -76,9 +77,9 @@ class TestProtection:
         b.address_of(p, y)
         b.assign(x, p)
         b.assign(y, p)  # x and y get identical flow but are address-taken
-        result = offline_variable_substitution(b.build())
-        assert result.var_to_rep[x] == x
-        assert result.var_to_rep[y] == y
+        result = preprocess_system(b.build(), "ovs")
+        assert result.substitution.var_to_rep[x] == x
+        assert result.substitution.var_to_rep[y] == y
 
     def test_function_block_never_merged(self):
         b = ConstraintBuilder()
@@ -86,8 +87,8 @@ class TestProtection:
         p = b.var("p")
         b.assign(f.params[0], p)
         b.assign(b.var("q"), p)
-        result = offline_variable_substitution(b.build())
-        assert result.var_to_rep[f.params[0]] == f.params[0]
+        result = preprocess_system(b.build(), "ovs")
+        assert result.substitution.var_to_rep[f.params[0]] == f.params[0]
 
     def test_loaded_values_not_overmerged(self):
         """Loads through different pointers must stay distinct."""
@@ -98,8 +99,9 @@ class TestProtection:
         u, v = b.var("u"), b.var("v")
         b.load(u, p)
         b.load(v, q)
-        result = offline_variable_substitution(b.build())
-        assert result.var_to_rep[u] != result.var_to_rep[v]
+        result = preprocess_system(b.build(), "ovs")
+        rep = result.substitution.var_to_rep
+        assert rep[u] != rep[v]
 
 
 class TestDeadConstraintElimination:
@@ -107,7 +109,7 @@ class TestDeadConstraintElimination:
         b = ConstraintBuilder()
         empty, dst = b.var("empty"), b.var("dst")
         b.load(dst, empty)
-        result = offline_variable_substitution(b.build())
+        result = preprocess_system(b.build(), "ovs")
         assert len(result.reduced) == 0
 
     def test_store_through_empty_pointer_dropped(self):
@@ -115,7 +117,7 @@ class TestDeadConstraintElimination:
         empty, src = b.var("empty"), b.var("src")
         b.address_of(src, b.var("x"))
         b.store(empty, src)
-        result = offline_variable_substitution(b.build())
+        result = preprocess_system(b.build(), "ovs")
         assert all(c.kind is not ConstraintKind.STORE for c in result.reduced)
 
     def test_duplicates_deduped(self):
@@ -123,13 +125,13 @@ class TestDeadConstraintElimination:
         p, x = b.var("p"), b.var("x")
         for _ in range(5):
             b.address_of(p, x)
-        result = offline_variable_substitution(b.build())
+        result = preprocess_system(b.build(), "ovs")
         assert len(result.reduced) == 1
 
 
 class TestSolutionPreservation:
     def test_simple_system_preserved(self, simple_system):
-        result = offline_variable_substitution(simple_system)
+        result = preprocess_system(simple_system, "ovs")
         direct = solve(simple_system, "naive")
         reduced = result.expand(solve(result.reduced, "naive"))
         assert reduced == direct
@@ -138,7 +140,7 @@ class TestSolutionPreservation:
     @settings(max_examples=60, deadline=None)
     def test_random_systems_preserved(self, seed):
         system = random_system(seed)
-        result = offline_variable_substitution(system)
+        result = preprocess_system(system, "ovs")
         direct = solve(system, "naive")
         reduced = result.expand(solve(result.reduced, "naive"))
         assert reduced == direct, reduced.diff(direct)
@@ -147,7 +149,7 @@ class TestSolutionPreservation:
     @settings(max_examples=30, deadline=None)
     def test_reduction_never_grows(self, seed):
         system = random_system(seed)
-        result = offline_variable_substitution(system)
+        result = preprocess_system(system, "ovs")
         assert len(result.reduced) <= len(system)
         assert 0.0 <= result.reduction_ratio <= 1.0
 
@@ -155,7 +157,7 @@ class TestSolutionPreservation:
         from repro.workloads import generate_workload
 
         system = generate_workload("emacs", scale=1 / 128, seed=1)
-        result = offline_variable_substitution(system)
+        result = preprocess_system(system, "ovs")
         # Paper: 60-77% across benchmarks; the synthetic stand-in should
         # land in a generous band around that.
         assert 0.45 <= result.reduction_ratio <= 0.9
@@ -166,67 +168,7 @@ class TestSolutionPreservation:
         b.address_of(p, x)
         q = b.var("q")
         b.assign(q, p)
-        result = offline_variable_substitution(b.build())
-        assert result.merged_count() >= 0
+        result = preprocess_system(b.build(), "ovs")
+        assert result.merged_count() == 1
         solution = result.expand(solve(result.reduced, "naive"))
-        assert solution.points_to(q) == solution.points_to(q)
-
-
-class TestHVNMode:
-    """The HVN/HU distinction of the authors' SAS 2007 companion paper."""
-
-    def test_hvn_preserves_solution(self, simple_system):
-        result = offline_variable_substitution(simple_system, mode="hvn")
-        direct = solve(simple_system, "naive")
-        assert result.expand(solve(result.reduced, "naive")) == direct
-
-    @given(st.integers(0, 300))
-    @settings(max_examples=40, deadline=None)
-    def test_hvn_random_systems_preserved(self, seed):
-        system = random_system(seed)
-        result = offline_variable_substitution(system, mode="hvn")
-        direct = solve(system, "naive")
-        assert result.expand(solve(result.reduced, "naive")) == direct
-
-    def test_hvn_collapses_copy_chains(self):
-        b = ConstraintBuilder()
-        p, x = b.var("p"), b.var("x")
-        b.address_of(p, x)
-        t1, t2 = b.var("t1"), b.var("t2")
-        b.assign(t1, p)
-        b.assign(t2, t1)
-        result = offline_variable_substitution(b.build(), mode="hvn")
-        assert result.var_to_rep[t2] == result.var_to_rep[t1]
-
-    def test_hu_finds_at_least_as_many_equivalences(self):
-        """HU symbolically evaluates unions, so it subsumes HVN."""
-        from repro.workloads import generate_workload
-
-        for name in ("emacs", "linux"):
-            system = generate_workload(name, scale=1 / 256, seed=1)
-            hu = offline_variable_substitution(system, mode="hu")
-            hvn = offline_variable_substitution(system, mode="hvn")
-            assert hu.merged_count() >= hvn.merged_count()
-            assert len(hu.reduced) <= len(hvn.reduced)
-
-    def test_hu_strictly_better_on_subsumed_join(self):
-        """c >= a,b with pts(a) subset pts(b): HU matches a copy of b."""
-        b = ConstraintBuilder()
-        x, y = b.var("x"), b.var("y")
-        va, vb = b.var("a"), b.var("b")
-        b.address_of(va, x)
-        b.address_of(vb, x)
-        b.address_of(vb, y)
-        c, d = b.var("c"), b.var("d")
-        b.assign(c, va)
-        b.assign(c, vb)  # pts(c) = {x} | {x,y} = {x,y} = pts(b)
-        b.assign(d, vb)  # plain copy of b
-        system = b.build()
-        hu = offline_variable_substitution(system, mode="hu")
-        hvn = offline_variable_substitution(system, mode="hvn")
-        assert hu.var_to_rep[c] == hu.var_to_rep[d]
-        assert hvn.var_to_rep[c] != hvn.var_to_rep[d]
-
-    def test_unknown_mode_rejected(self, simple_system):
-        with pytest.raises(ValueError):
-            offline_variable_substitution(simple_system, mode="hr")
+        assert solution.points_to(q) == frozenset({x})

@@ -6,11 +6,10 @@ constraint system.
 """
 
 from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from repro.constraints.parser import dumps_constraints, loads_constraints
 from repro.preprocess.hcd_offline import hcd_offline_analysis
-from repro.preprocess.ovs import offline_variable_substitution
+from repro.preprocess.hvn import preprocess_system
 from repro.solvers.hcd import HCDSolver
 from repro.solvers.lcd import LCDSolver
 from repro.solvers.registry import solve
@@ -83,7 +82,7 @@ class TestPreprocessInvariants:
     @given(constraint_systems())
     @settings(max_examples=40, **COMMON)
     def test_ovs_preserves_solution(self, system):
-        ovs = offline_variable_substitution(system)
+        ovs = preprocess_system(system, "ovs")
         assert ovs.expand(solve(ovs.reduced, "lcd+hcd")) == solve(system, "naive")
 
     @given(constraint_systems())

@@ -14,8 +14,7 @@ from hypothesis import strategies as st
 from conftest import random_system
 from repro.contexts import K_LEVELS
 from repro.points_to.interface import FAMILY_KINDS
-from repro.preprocess.hvn import OPT_STAGES
-from repro.preprocess.ovs import offline_variable_substitution
+from repro.preprocess.hvn import OPT_STAGES, preprocess_system
 from repro.solvers.registry import available_solvers, solve
 from repro.workloads import generate_workload
 from strategies import constraint_systems, k_levels, opt_stages, pts_families
@@ -97,7 +96,7 @@ class TestRandomizedDifferential:
     def test_ovs_preserves_every_algorithm(self, seed):
         system = random_system(seed)
         reference = solve(system, "naive")
-        ovs = offline_variable_substitution(system)
+        ovs = preprocess_system(system, "ovs")
         for algorithm in ("naive", "lcd+hcd", "ht+hcd", "pkh+hcd"):
             result = ovs.expand(solve(ovs.reduced, algorithm))
             assert result == reference, (algorithm, result.diff(reference))

@@ -112,11 +112,6 @@ class TestSetOps:
         assert not SparseBitmap([1]).intersects(SparseBitmap([2]))
         assert not SparseBitmap().intersects(SparseBitmap([2]))
 
-    def test_issubset(self):
-        assert SparseBitmap([1]).issubset(SparseBitmap([1, 2]))
-        assert not SparseBitmap([1, 3]).issubset(SparseBitmap([1, 2]))
-        assert SparseBitmap().issubset(SparseBitmap())
-
     def test_difference_iter(self):
         a = SparseBitmap([1, 2, 300])
         b = SparseBitmap([2])
@@ -219,7 +214,6 @@ class TestProperties:
     def test_intersects_subset_consistent(self, xs, ys):
         a, b = SparseBitmap(xs), SparseBitmap(ys)
         assert a.intersects(b) == bool(set(xs) & set(ys))
-        assert a.issubset(b) == (set(xs) <= set(ys))
 
     @given(element_lists, element_lists)
     def test_difference_iter_matches_set(self, xs, ys):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.constraints.model import ConstraintKind
-from repro.preprocess.ovs import offline_variable_substitution
+from repro.preprocess.hvn import preprocess_system
 from repro.workloads.profiles import BENCHMARK_ORDER, BENCHMARKS, default_scale
 from repro.workloads.synthetic import generate_workload
 
@@ -81,7 +81,7 @@ class TestSyntheticGenerator:
     def test_expansion_approximates_paper_ratio(self):
         # gimp has the highest original/reduced ratio of the profiles.
         raw = generate_workload("gimp", scale=1 / 64, seed=1)
-        ovs = offline_variable_substitution(raw)
+        ovs = preprocess_system(raw, "ovs")
         # OVS should remove most of the injected temporaries.
         assert ovs.reduction_ratio > 0.5
 
